@@ -127,6 +127,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
 struct Run {
   std::vector<double> latency_ms;  // per op; +inf for a failed op
   std::vector<double> cpu_s;       // process CPU during each op
+  double timed_s = 0.0;            // Σ wall of every op, failed ones too
   std::vector<OpResult> ops;
   int64_t failed = 0;
   std::string wrong;  // first output-check failure, "" if none
@@ -140,10 +141,9 @@ struct Run {
 /// twins->ops[k]'s.
 void RunSchedule(Workload& workload, int64_t fixed_ops, double seconds,
                  int period, const Run* twins, Run* run) {
-  double timed_s = 0.0;
   for (int64_t k = 0;; ++k) {
     if (fixed_ops > 0 ? k >= fixed_ops
-                      : (k % period == 0 && timed_s >= seconds)) {
+                      : (k % period == 0 && run->timed_s >= seconds)) {
       break;
     }
     if (twins != nullptr) mudb::obs::ClearTraces();
@@ -151,7 +151,7 @@ void RunSchedule(Workload& workload, int64_t fixed_ops, double seconds,
     mudb::util::WallTimer timer;
     OpResult op = workload.RunOp(k);
     const double ms = timer.ElapsedMillis();
-    timed_s += ms * 1e-3;
+    run->timed_s += ms * 1e-3;
     run->cpu_s.push_back(ProcessCpuSeconds() - cpu0);
     if (twins != nullptr) AggregateSpans(mudb::obs::CollectSpans(), &run->spans);
 
@@ -205,7 +205,8 @@ uint64_t Digest(const Run& run, bool inputs, int64_t* covered) {
 
 double Ratio(double num, double den) { return den > 0 ? num / den : 0.0; }
 
-/// Sums and averages over a run's ops.
+/// Sums and averages over a run's ops. Wall and CPU time cover every op,
+/// failed ones too; work done counts only the ops that succeeded.
 struct Totals {
   OpCounters sum;
   double wall_s = 0.0;
@@ -213,13 +214,12 @@ struct Totals {
   int64_t candidates = 0;
   int64_t ops = 0;
 
-  explicit Totals(const Run& run) {
+  explicit Totals(const Run& run) : wall_s(run.timed_s) {
     ops = static_cast<int64_t>(run.ops.size());
     for (size_t k = 0; k < run.ops.size(); ++k) {
       const OpResult& op = run.ops[k];
       cpu_s += run.cpu_s[k];
       if (!op.ok) continue;
-      wall_s += run.latency_ms[k] * 1e-3;
       candidates += op.candidates;
       AddCounters(&sum, op.counters);
     }

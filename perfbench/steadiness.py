@@ -5,10 +5,12 @@ same code must agree within the bounds BENCHMARK.json fixes.
 Usage (from the root of the source tree):
 
     python3 perfbench/steadiness.py [--workloads a,b] [--runs 10]
-        [--seeds 1,2,...] [--seconds <s>]
+        [--seconds <s>]
 
-Each workload runs as two sets of --runs runs, one seed per run (the same
-seed list in both sets), through the command BENCHMARK.json names. Every run
+Each workload runs as two sets of --runs runs, seeds 1..--runs in both
+sets, through the command BENCHMARK.json names. The sets are interleaved
+seed by seed, and the set that runs first alternates, so a slow spell of
+the host lands on both sets alike instead of shifting one of them. Every run
 is echoed with its op count, tail percentile, samples beyond the tail,
 schedule and output fingerprint, so a change in the work done is visible.
 Then, per end-to-end metric, each set's median and quartiles are printed,
@@ -76,20 +78,18 @@ def main():
     parser.add_argument("--workloads",
                         default=",".join(w["name"] for w in spec["workloads"]))
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seeds", default="")
     parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = parser.parse_args()
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else list(range(1, args.runs + 1)))
     metrics = spec["end_to_end"]
     flagged = []
 
     for workload in args.workloads.split(","):
-        sets = []
+        sets = [{m["name"]: [] for m in metrics} for _ in range(2)]
         seen = {}
-        for set_index in range(2):
-            values = {m["name"]: [] for m in metrics}
-            for seed in seeds:
+        for seed in range(1, args.runs + 1):
+            order = (0, 1) if seed % 2 == 1 else (1, 0)
+            for set_index in order:
+                values = sets[set_index]
                 result, attr = run_once(spec["command"], workload, seed,
                                         args.seconds)
                 if not result["correct"]:
@@ -111,7 +111,6 @@ def main():
                     flagged.append((workload, "schedule/fingerprint",
                                     "seed %d differs between sets" % seed))
                 seen[seed] = echo
-            sets.append(values)
 
         print("%s:" % workload)
         print("  %-18s %8s | %12s %12s %12s %7s | %12s %12s %12s %7s | %7s"
