@@ -55,8 +55,7 @@ std::vector<ChainGroup> PartitionChainGrid(int chains);
 /// lockstep. State is lane-minor SoA: positions, directions, and the cached
 /// constraint products are n×K / m×K panels with lane l at column l. The
 /// body must outlive the sampler and must not gain constraints while any
-/// lane walks on it (SetBallRadius between walks is fine: ResetLane resyncs,
-/// as with the scalar sampler's set_current).
+/// lane walks on it.
 class BatchedHitAndRunSampler {
  public:
   /// A kernel with `lanes` chain slots, all uninitialized. ResetLane each

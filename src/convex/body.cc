@@ -23,13 +23,6 @@ void ConvexBody::AddBall(geom::Vec center, double radius) {
   balls_.push_back(BallConstraint{std::move(center), radius});
 }
 
-void ConvexBody::SetBallRadius(int index, double radius) {
-  MUDB_CHECK(index >= 0 && index < num_balls());
-  MUDB_CHECK(radius > 0);
-  ball_radius2_[index] = radius * radius;
-  balls_[index].radius = radius;
-}
-
 bool ConvexBody::Contains(const geom::Vec& x) const {
   const int n = dim_;
   const int m = num_halfspaces();

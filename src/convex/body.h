@@ -46,10 +46,6 @@ class ConvexBody {
   void AddHalfspace(geom::Vec a, double b);
   /// Adds ||x - center|| <= radius.
   void AddBall(geom::Vec center, double radius);
-  /// Replaces the radius of ball `index` in place. The annealing volume
-  /// estimator reuses one phase body across its radius schedule instead of
-  /// copying the whole constraint system per phase.
-  void SetBallRadius(int index, double radius);
 
   const std::vector<std::pair<geom::Vec, double>>& halfspaces() const {
     return halfspaces_;
@@ -59,7 +55,7 @@ class ConvexBody {
   /// Flat views for the sampling kernels. Row-major: halfspace i is
   /// halfspace_matrix()[i*dim() .. i*dim()+dim()), ball k's center is
   /// ball_centers()[k*dim() .. k*dim()+dim()). Pointers are invalidated by
-  /// AddHalfspace/AddBall (but not by SetBallRadius).
+  /// AddHalfspace/AddBall.
   int num_halfspaces() const { return static_cast<int>(b_.size()); }
   int num_balls() const { return static_cast<int>(ball_radius2_.size()); }
   const double* halfspace_matrix() const { return a_flat_.data(); }

@@ -39,9 +39,7 @@ inline constexpr int kSamplerRefreshInterval = 1024;
 
 /// Hit-and-run sampler over a ConvexBody. The chain must start at an interior
 /// point (e.g. the center of an inner ball). The body must not gain
-/// constraints while a sampler walks on it (SetBallRadius between walks is
-/// fine: call set_current to resync, or construct samplers after the radius
-/// is set, as the annealing estimator does).
+/// constraints while a sampler walks on it.
 class HitAndRunSampler {
  public:
   /// `body` must outlive the sampler; `start` must lie inside the body.

@@ -59,74 +59,85 @@ VolumeEstimate EstimateVolume(const ConvexBody& body, const InnerBall& inner,
   // bit-identical to a scalar sampler walking chunk c alone, at any group
   // width and any thread count.
   const std::vector<ChainGroup> groups = PartitionChainGrid(chunks);
-  std::vector<int> inside(chunks);
-  util::Rng base = rng.Fork();
-  // One phase body for the whole schedule: only the annealing ball's radius
-  // changes between phases, so copying the constraint system per phase is
-  // pure overhead.
-  ConvexBody phase_body = body;
-  phase_body.AddBall(inner.center, radii[phases]);
-  const int anneal_ball = phase_body.num_balls() - 1;
-  for (int i = 1; i <= phases; ++i) {
-    // One span per annealing phase (phase-level only — never inside the
-    // chain walks).
-    obs::Span phase_span("volume.anneal_phase");
-    if (phase_span.recording()) {
-      phase_span.Annotate("phase", static_cast<double>(i));
-      phase_span.Annotate("samples", static_cast<double>(per_phase));
+  const int num_groups = static_cast<int>(groups.size());
+  // Every phase restarts its chains at the inner-ball center on substream
+  // Split(phase), so no phase waits on another: all (phase, group) tasks
+  // form one flat grid, and phase i's hits land in slots
+  // [(i−1)·chunks, i·chunks). Task t runs group t / phases of phase
+  // t % phases + 1: PartitionChainGrid lists the widest groups first, so
+  // the pool claims the longest tasks first.
+  std::vector<int> inside(static_cast<size_t>(phases) * chunks);
+  const util::Rng base = rng.Fork();
+  auto run_task = [&](int64_t t) {
+    const int i = static_cast<int>(t % phases) + 1;
+    const int first = groups[t / phases].first;
+    const int width = groups[t / phases].width;
+    // One span per task (phase-level only — never inside the chain walks).
+    obs::Span span("volume.anneal_phase");
+    if (span.recording()) {
+      span.Annotate("phase", static_cast<double>(i));
+      span.Annotate("first", static_cast<double>(first));
+      span.Annotate("lanes", static_cast<double>(width));
     }
-    phase_body.SetBallRadius(anneal_ball, radii[i]);
-    double prev_r2 = radii[i - 1] * radii[i - 1];
-    util::Rng phase_rng = base.Split(i);
-    auto run_group = [&](int64_t g) {
-      const int first = groups[g].first;
-      const int width = groups[g].width;
-      // Every chunk in the group samples its share of the phase budget with
-      // its own chain lane, started at the inner-ball center (interior of
-      // every phase body). All lanes share one burn-in/walk schedule —
-      // except that the first (per_phase % chunks) chunks take one extra
-      // sample, a prefix of the lanes, walked as a subset at the end.
-      BatchedHitAndRunSampler sampler(&phase_body, width);
-      std::vector<util::Rng> lane_rng;
-      lane_rng.reserve(width);
-      std::vector<util::Rng*> rngs(width);
-      std::vector<int> lanes(width);
-      for (int l = 0; l < width; ++l) {
-        lane_rng.emplace_back(phase_rng.Split(first + l));
-        rngs[l] = &lane_rng[l];
-        lanes[l] = l;
-        sampler.ResetLane(l, inner.center);
+    // The task's own phase body K ∩ B(z0, r_i): at most one copy per
+    // running task, none shared between threads.
+    ConvexBody phase_body = body;
+    phase_body.AddBall(inner.center, radii[i]);
+    const double prev_r2 = radii[i - 1] * radii[i - 1];
+    const util::Rng phase_rng = base.Split(i);
+    // Every chunk in the group samples its share of the phase budget with
+    // its own chain lane, started at the inner-ball center (interior of
+    // every phase body). All lanes share one burn-in/walk schedule —
+    // except that the first (per_phase % chunks) chunks take one extra
+    // sample, a prefix of the lanes, walked as a subset at the end.
+    BatchedHitAndRunSampler sampler(&phase_body, width);
+    std::vector<util::Rng> lane_rng;
+    lane_rng.reserve(width);
+    std::vector<util::Rng*> rngs(width);
+    std::vector<int> lanes(width);
+    for (int l = 0; l < width; ++l) {
+      lane_rng.emplace_back(phase_rng.Split(first + l));
+      rngs[l] = &lane_rng[l];
+      lanes[l] = l;
+      sampler.ResetLane(l, inner.center);
+    }
+    sampler.WalkLanes(10 * walk, lanes.data(), width, rngs.data());  // burn-in
+    std::vector<int> hits(width, 0);
+    geom::Vec x;
+    auto tally = [&](int l) {
+      sampler.GetCurrent(l, &x);
+      double d2 = 0.0;
+      for (int j = 0; j < n; ++j) {
+        double diff = x[j] - inner.center[j];
+        d2 += diff * diff;
       }
-      sampler.WalkLanes(10 * walk, lanes.data(), width, rngs.data());  // burn-in
-      std::vector<int> hits(width, 0);
-      geom::Vec x;
-      auto tally = [&](int l) {
-        sampler.GetCurrent(l, &x);
-        double d2 = 0.0;
-        for (int j = 0; j < n; ++j) {
-          double diff = x[j] - inner.center[j];
-          d2 += diff * diff;
-        }
-        if (d2 <= prev_r2) ++hits[l];
-      };
-      const int base_samples = per_phase / chunks;
-      const int extra = std::clamp(per_phase % chunks - first, 0, width);
-      for (int s = 0; s < base_samples; ++s) {
-        sampler.WalkLanes(walk, lanes.data(), width, rngs.data());
-        for (int l = 0; l < width; ++l) tally(l);
-      }
-      if (extra > 0) {
-        sampler.WalkLanes(walk, lanes.data(), extra, rngs.data());
-        for (int l = 0; l < extra; ++l) tally(l);
-      }
-      for (int l = 0; l < width; ++l) inside[first + l] = hits[l];
+      if (d2 <= prev_r2) ++hits[l];
     };
-    util::ThreadPool::RunGrid(options.pool, static_cast<int>(groups.size()),
-                              run_group);
-    est.steps += static_cast<int64_t>(chunks) * 10 * walk +
-                 static_cast<int64_t>(per_phase) * walk;
+    const int base_samples = per_phase / chunks;
+    const int extra = std::clamp(per_phase % chunks - first, 0, width);
+    for (int s = 0; s < base_samples; ++s) {
+      sampler.WalkLanes(walk, lanes.data(), width, rngs.data());
+      for (int l = 0; l < width; ++l) tally(l);
+    }
+    if (extra > 0) {
+      sampler.WalkLanes(walk, lanes.data(), extra, rngs.data());
+      for (int l = 0; l < extra; ++l) tally(l);
+    }
+    std::copy(hits.begin(), hits.end(),
+              inside.begin() + static_cast<int64_t>(i - 1) * chunks + first);
+  };
+  util::ThreadPool::RunGrid(options.pool,
+                            static_cast<int64_t>(phases) * num_groups,
+                            run_task);
+  est.steps = static_cast<int64_t>(phases) *
+              (static_cast<int64_t>(chunks) * 10 * walk +
+               static_cast<int64_t>(per_phase) * walk);
+  // The telescoping product, in phase order.
+  for (int i = 1; i <= phases; ++i) {
     int total_inside = 0;
-    for (int c = 0; c < chunks; ++c) total_inside += inside[c];
+    for (int c = 0; c < chunks; ++c) {
+      total_inside += inside[static_cast<size_t>(i - 1) * chunks + c];
+    }
     double ratio = static_cast<double>(total_inside) / per_phase;
     // The true ratio is >= 2^{-1} by construction; guard the estimate away
     // from 0 so a pathological chain cannot blow up the product.

@@ -13,11 +13,13 @@
 // (phase, chunk) drawing from the substream Split(phase).Split(chunk) of the
 // forked call rng. The chains walk in power-of-two lane groups through the
 // vectorized K-chain kernel (convex/batch_sampler.h, grouped by
-// PartitionChainGrid — also a pure function of the grid), and the groups of
-// one phase run in parallel on the optional pool. Every lane is
-// bit-identical to a scalar sampler walking its substream, so the estimate
-// is bit-identical for any group width and any pool size — see
-// thread_pool.h.
+// PartitionChainGrid — also a pure function of the grid). Every phase
+// restarts its chains at the inner-ball center, so the phases do not depend
+// on each other: all (phase × group) tasks run as one flat grid on the
+// optional pool, and the phase ratios are multiplied in phase order once the
+// grid returns. Every lane is bit-identical to a scalar sampler walking its
+// substream, so the estimate is bit-identical for any group width and any
+// pool size — see thread_pool.h.
 
 #ifndef MUDB_SRC_CONVEX_VOLUME_H_
 #define MUDB_SRC_CONVEX_VOLUME_H_
@@ -37,8 +39,8 @@ struct VolumeOptions {
   int walk_steps = 0;
   /// Samples per annealing phase; 0 means auto from epsilon and phase count.
   int samples_per_phase = 0;
-  /// Optional worker pool for the per-phase chain groups; nullptr runs them
-  /// inline. Any pool size yields the identical estimate.
+  /// Optional worker pool for the (phase × chain group) grid; nullptr runs
+  /// it inline. Any pool size yields the identical estimate.
   util::ThreadPool* pool = nullptr;
 };
 

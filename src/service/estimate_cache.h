@@ -22,13 +22,12 @@
 #ifndef MUDB_SRC_SERVICE_ESTIMATE_CACHE_H_
 #define MUDB_SRC_SERVICE_ESTIMATE_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,6 +59,13 @@ struct CacheStats {
 /// Generic sharded LRU map from canonical keys to small values. Capacity is
 /// global (split evenly across shards, at least one entry each); the
 /// least-recently-used entry of a full shard is evicted on insert.
+///
+/// Storage is flat: a shard's entries live in one vector of slots linked
+/// into a recency list by slot index, and are found through an
+/// open-addressing table of slot indices. An entry costs its key, its value
+/// and about 16 bytes, with no heap node of its own: a long-lived service's
+/// footprint grows with its caches' fill, so this is what it pays per
+/// cached result.
 template <typename Value>
 class ShardedLruCache {
  public:
@@ -87,37 +93,44 @@ class ShardedLruCache {
   std::optional<Value> Lookup(const convex::CanonicalBodyKey& key) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
+    const uint32_t slot = shard.Find(key);
+    if (slot == kNone) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       if (metric_misses_ != nullptr) metric_misses_->Inc();
       return std::nullopt;
     }
-    // Move to the front of the recency list.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    shard.MoveToFront(slot);
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (metric_hits_ != nullptr) metric_hits_->Inc();
-    return it->second->second;
+    return shard.slots[slot].value;
   }
 
   void Insert(const convex::CanonicalBodyKey& key, Value value) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      it->second->second = std::move(value);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    uint32_t slot = shard.Find(key);
+    if (slot != kNone) {
+      shard.slots[slot].value = std::move(value);
+      shard.MoveToFront(slot);
       return;
     }
-    if (shard.lru.size() >= per_shard_capacity_) {
-      shard.index.erase(shard.lru.back().first);
-      shard.lru.pop_back();
+    if (shard.slots.size() >= per_shard_capacity_) {
+      // Reuse the least recently used slot for the new entry.
+      slot = shard.tail;
+      shard.EraseFromTable(shard.slots[slot].key);
+      shard.slots[slot].key = key;
+      shard.slots[slot].value = std::move(value);
+      shard.AddToTable(slot);
+      shard.MoveToFront(slot);
       evictions_.fetch_add(1, std::memory_order_relaxed);
       if (metric_evictions_ != nullptr) metric_evictions_->Inc();
       entries_.fetch_sub(1, std::memory_order_relaxed);
+    } else {
+      slot = static_cast<uint32_t>(shard.slots.size());
+      shard.slots.push_back(Slot{key, std::move(value), kNone, kNone});
+      shard.AddToTable(slot);
+      shard.PushFront(slot);
     }
-    shard.lru.emplace_front(key, std::move(value));
-    shard.index.emplace(key, shard.lru.begin());
     insertions_.fetch_add(1, std::memory_order_relaxed);
     if (metric_insertions_ != nullptr) metric_insertions_->Inc();
     entries_.fetch_add(1, std::memory_order_relaxed);
@@ -134,10 +147,7 @@ class ShardedLruCache {
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(shards_.size());
     for (Shard& shard : shards_) locks.emplace_back(shard.mu);
-    for (Shard& shard : shards_) {
-      shard.index.clear();
-      shard.lru.clear();
-    }
+    for (Shard& shard : shards_) shard.Reset();
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
     insertions_.store(0, std::memory_order_relaxed);
@@ -159,16 +169,103 @@ class ShardedLruCache {
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// One entry; prev/next link the recency list by slot index.
+  struct Slot {
+    convex::CanonicalBodyKey key;
+    Value value;
+    uint32_t prev;
+    uint32_t next;
+  };
+
+  /// Every slot holds a live entry: a full shard reuses its LRU slot, so
+  /// slots are only ever appended (up to the capacity) or all dropped.
   struct Shard {
     std::mutex mu;
-    // Front = most recently used. The map points into the list.
-    std::list<std::pair<convex::CanonicalBodyKey, Value>> lru;
-    std::unordered_map<
-        convex::CanonicalBodyKey,
-        typename std::list<std::pair<convex::CanonicalBodyKey, Value>>::
-            iterator,
-        convex::CanonicalBodyKey::Hash>
-        index;
+    std::vector<Slot> slots;
+    /// Linear-probing table of slot indices (kNone = empty), a power of two
+    /// at least twice the slot count, so probes stay short.
+    std::vector<uint32_t> table;
+    uint32_t head = kNone;  // most recently used
+    uint32_t tail = kNone;  // least recently used
+
+    size_t Home(const convex::CanonicalBodyKey& key) const {
+      return convex::CanonicalBodyKey::Hash{}(key) & (table.size() - 1);
+    }
+
+    /// The table position holding `key`, or the empty one ending its probe.
+    size_t Probe(const convex::CanonicalBodyKey& key) const {
+      const size_t mask = table.size() - 1;
+      size_t pos = Home(key);
+      while (table[pos] != kNone && slots[table[pos]].key != key) {
+        pos = (pos + 1) & mask;
+      }
+      return pos;
+    }
+
+    uint32_t Find(const convex::CanonicalBodyKey& key) const {
+      return table.empty() ? kNone : table[Probe(key)];
+    }
+
+    /// Indexes slot `slot`, whose key is not in the table yet.
+    void AddToTable(uint32_t slot) {
+      if (2 * slots.size() > table.size()) {
+        // Grow and re-index every slot (the new one included).
+        table.assign(std::max<size_t>(16, 2 * table.size()), kNone);
+        for (uint32_t s = 0; s < slots.size(); ++s) {
+          table[Probe(slots[s].key)] = s;
+        }
+        return;
+      }
+      table[Probe(slots[slot].key)] = slot;
+    }
+
+    /// Removes `key` (present) from the table by backward-shift deletion:
+    /// later entries of its probe run move up into the hole, so no
+    /// tombstones are needed.
+    void EraseFromTable(const convex::CanonicalBodyKey& key) {
+      const size_t mask = table.size() - 1;
+      size_t hole = Probe(key);
+      for (size_t pos = (hole + 1) & mask; table[pos] != kNone;
+           pos = (pos + 1) & mask) {
+        // The entry at pos may fill the hole if the hole lies between its
+        // home position and pos (cyclically).
+        const size_t home = Home(slots[table[pos]].key);
+        if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+          table[hole] = table[pos];
+          hole = pos;
+        }
+      }
+      table[hole] = kNone;
+    }
+
+    void PushFront(uint32_t slot) {
+      slots[slot].prev = kNone;
+      slots[slot].next = head;
+      if (head != kNone) slots[head].prev = slot;
+      head = slot;
+      if (tail == kNone) tail = slot;
+    }
+
+    void MoveToFront(uint32_t slot) {
+      if (slot == head) return;
+      Slot& s = slots[slot];
+      slots[s.prev].next = s.next;  // not the head, so prev exists
+      if (s.next != kNone) {
+        slots[s.next].prev = s.prev;
+      } else {
+        tail = s.prev;
+      }
+      PushFront(slot);
+    }
+
+    /// Drops every entry and releases the storage.
+    void Reset() {
+      std::vector<Slot>().swap(slots);
+      std::vector<uint32_t>().swap(table);
+      head = tail = kNone;
+    }
   };
 
   static size_t RoundUpPow2(int shards) {
@@ -180,7 +277,7 @@ class ShardedLruCache {
   }
 
   Shard& ShardFor(const convex::CanonicalBodyKey& key) {
-    // High bits: the low bits already feed the in-shard hash map.
+    // High bits: the low bits already feed the in-shard table.
     return shards_[(key.fp.hi >> 32) & (shards_.size() - 1)];
   }
 
@@ -205,8 +302,9 @@ class ShardedLruCache {
 class EstimateCache : public volume::BodyEstimateCache {
  public:
   struct Options {
-    /// Max entries across all shards. An entry is ~100 bytes, so the
-    /// default bounds the cache around half a megabyte.
+    /// Max entries across all shards. An entry is ~56 bytes (slot plus
+    /// table share), so the default bounds the cache around a quarter
+    /// megabyte.
     size_t capacity = 4096;
     /// Rounded up to a power of two.
     int shards = 8;

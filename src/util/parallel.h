@@ -3,9 +3,10 @@
 // This header is where the determinism contract lives in code: the chunk
 // grid is derived from (total, chunk_size) alone — never from the thread
 // count — chunk c draws from base.Split(c), and the per-chunk results are
-// reduced in chunk order. Estimators that keep their own loop shapes
-// (annealing phases, Karp–Luby) follow the same rules by hand on top of
-// ThreadPool::RunGrid.
+// reduced in chunk order. Estimators that keep their own grid shapes follow
+// the same rules by hand on top of ThreadPool::RunGrid: annealing issues one
+// flat (phase × chain group) grid per volume estimate, Karp–Luby one grid of
+// chain groups.
 
 #ifndef MUDB_SRC_UTIL_PARALLEL_H_
 #define MUDB_SRC_UTIL_PARALLEL_H_

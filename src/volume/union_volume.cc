@@ -62,9 +62,10 @@ util::StatusOr<UnionVolumeResult> EstimateUnionVolume(
   // Per-unique-body volume estimates. Each estimate draws from the RNG
   // stream owned by its (body × tier) key — a pure function of content, so
   // an external cache hit replays exactly what recomputation would produce.
-  // The bodies run sequentially — EstimateVolume itself fans each annealing
-  // phase out on body_volume.pool, which keeps the parallelism flat (no
-  // nested ParallelFor) while saturating the workers even for a single body.
+  // The bodies run sequentially — EstimateVolume itself runs all of a
+  // body's (annealing phase × chain group) tasks as one grid on
+  // body_volume.pool, which keeps the parallelism flat (no nested
+  // ParallelFor) while giving the workers work even for a single body.
   std::vector<double> uniq_volume(u);
   double total = 0.0;
   for (int s = 0; s < u; ++s) {

@@ -173,38 +173,5 @@ TEST(BatchSamplerTest, LazyLaneInitAndReset) {
   EXPECT_EQ(got, scalar.current());
 }
 
-TEST(BatchSamplerTest, SetBallRadiusThenResetMatchesFreshScalar) {
-  // The annealing estimator's reuse pattern: one body per schedule, radius
-  // swapped between phases, every lane restarted. Lane trajectories must
-  // match scalar samplers constructed after the radius change.
-  util::Rng body_rng(66);
-  RandomBody rb = MakeRandomBody(3, body_rng);
-  const int ball = 0;  // MakeRandomBody adds at least one ball
-  const int lanes = 4;
-  BatchedHitAndRunSampler batched(&rb.body, lanes);
-  std::vector<util::Rng> lane_rngs;
-  for (int l = 0; l < lanes; ++l) {
-    lane_rngs.push_back(util::Rng(500 + l));
-    batched.ResetLane(l, rb.inside);
-  }
-  batched.WalkAll(64, lane_rngs.data());
-
-  const double grown = rb.body.balls()[ball].radius * 1.5;
-  rb.body.SetBallRadius(ball, grown);
-  for (int l = 0; l < lanes; ++l) {
-    lane_rngs[l] = util::Rng(700 + l);
-    batched.ResetLane(l, rb.inside);
-  }
-  batched.WalkAll(200, lane_rngs.data());
-  geom::Vec got;
-  for (int l = 0; l < lanes; ++l) {
-    util::Rng scalar_rng(700 + l);
-    HitAndRunSampler scalar(&rb.body, rb.inside);
-    scalar.Walk(200, scalar_rng);
-    batched.GetCurrent(l, &got);
-    ASSERT_EQ(got, scalar.current()) << "lane " << l;
-  }
-}
-
 }  // namespace
 }  // namespace mudb::convex

@@ -1,14 +1,21 @@
 // Tests for src/convex: bodies, chords, inner balls, hit-and-run, annealed
 // volume estimation.
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/convex/batch_sampler.h"
 #include "src/convex/body.h"
 #include "src/convex/sampler.h"
 #include "src/convex/volume.h"
 #include "src/geom/geometry.h"
+#include "src/obs/trace.h"
 
 namespace mudb::convex {
 namespace {
@@ -129,35 +136,6 @@ TEST(InnerBallTest, FinderReuseIsPure) {
       EXPECT_EQ(one_shot->radius, reused->radius);
     }
   }
-}
-
-TEST(BodyTest, SetBallRadiusMatchesFreshlyBuiltBody) {
-  // The annealing estimator mutates one ball's radius in place; the mutated
-  // body must behave bit-identically to a body built with that radius.
-  ConvexBody mutated = OrthantCone(3);
-  mutated.SetBallRadius(0, 0.6);
-  ConvexBody fresh(3);
-  for (int j = 0; j < 3; ++j) {
-    geom::Vec a(3, 0.0);
-    a[j] = -1.0;
-    fresh.AddHalfspace(a, 0.0);
-  }
-  fresh.AddBall(geom::Vec(3, 0.0), 0.6);
-  util::Rng rng(13);
-  for (int rep = 0; rep < 100; ++rep) {
-    geom::Vec x(3), d = geom::SampleUnitSphere(3, rng);
-    for (int j = 0; j < 3; ++j) x[j] = rng.Uniform(0.0, 0.3);
-    EXPECT_EQ(mutated.Contains(x), fresh.Contains(x));
-    auto a = mutated.Chord(x, d);
-    auto b = fresh.Chord(x, d);
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (a) {
-      EXPECT_EQ(a->first, b->first);
-      EXPECT_EQ(a->second, b->second);
-    }
-  }
-  EXPECT_EQ(mutated.balls()[0].radius, 0.6);
-  EXPECT_EQ(mutated.ball_radius2()[0], 0.36);
 }
 
 TEST(SamplerTest, StaysInsideBody) {
@@ -313,6 +291,205 @@ TEST(VolumeTest, EstimateIsPoolInvariant) {
     EXPECT_EQ(EstimateVolume(body, *inner, 2.0, pooled, rng).volume, baseline)
         << "threads " << threads;
   }
+}
+
+// EstimateVolume written out as the plain sequential loop it must equal bit
+// for bit: phase after phase, chunk after chunk, one scalar chain each.
+struct ReferenceVolume {
+  VolumeEstimate est;
+  int per_phase = 0;
+  int chunks = 0;
+};
+
+ReferenceVolume ScalarReferenceVolume(const ConvexBody& body,
+                                      const InnerBall& inner,
+                                      double outer_radius_bound,
+                                      const VolumeOptions& options,
+                                      util::Rng& rng) {
+  const int n = body.dim();
+  std::vector<double> radii{inner.radius};
+  const double growth = std::pow(2.0, 1.0 / n);
+  while (radii.back() < outer_radius_bound) {
+    radii.push_back(radii.back() * growth);
+  }
+  ReferenceVolume ref;
+  const int phases = static_cast<int>(radii.size()) - 1;
+  ref.est.phases = phases;
+  ref.est.volume = geom::BallVolume(n, inner.radius);
+  if (phases == 0) return ref;
+  const int walk = options.walk_steps > 0 ? options.walk_steps : 4 * n;
+  int per_phase = options.samples_per_phase;
+  if (per_phase <= 0) {
+    double m = 8.0 * phases / (options.epsilon * options.epsilon);
+    per_phase = static_cast<int>(std::clamp(m, 200.0, 200000.0));
+  }
+  const int chunks = std::clamp(per_phase / 256, 1, 64);
+  ref.per_phase = per_phase;
+  ref.chunks = chunks;
+  util::Rng base = rng.Fork();
+  for (int i = 1; i <= phases; ++i) {
+    ConvexBody phase_body = body;
+    phase_body.AddBall(inner.center, radii[i]);
+    const double prev_r2 = radii[i - 1] * radii[i - 1];
+    int inside = 0;
+    for (int c = 0; c < chunks; ++c) {
+      util::Rng chain = base.Split(i).Split(c);
+      HitAndRunSampler sampler(&phase_body, inner.center);
+      sampler.Walk(10 * walk, chain);
+      const int samples = per_phase / chunks + (c < per_phase % chunks ? 1 : 0);
+      for (int s = 0; s < samples; ++s) {
+        sampler.Walk(walk, chain);
+        double d2 = 0.0;
+        for (int j = 0; j < n; ++j) {
+          double diff = sampler.current()[j] - inner.center[j];
+          d2 += diff * diff;
+        }
+        if (d2 <= prev_r2) ++inside;
+      }
+      ref.est.steps += static_cast<int64_t>(10 + samples) * walk;
+    }
+    double ratio = static_cast<double>(inside) / per_phase;
+    ref.est.volume /= std::max(ratio, 1e-3);
+  }
+  return ref;
+}
+
+// A 5-D cone {x_0 >= x_1 >= ... >= x_4} ∩ B(0, 1): 1/120 of the ball.
+std::vector<std::pair<geom::Vec, double>> OrderedConeHalfspaces(int n) {
+  std::vector<std::pair<geom::Vec, double>> hs;
+  for (int j = 0; j + 1 < n; ++j) {
+    geom::Vec a(n, 0.0);
+    a[j] = -1.0;
+    a[j + 1] = 1.0;  // x_{j+1} - x_j <= 0
+    hs.emplace_back(a, 0.0);
+  }
+  return hs;
+}
+
+ConvexBody BodyOf(const std::vector<std::pair<geom::Vec, double>>& hs,
+                  int n) {
+  ConvexBody body(n);
+  for (const auto& [a, b] : hs) body.AddHalfspace(a, b);
+  body.AddBall(geom::Vec(n, 0.0), 1.0);
+  return body;
+}
+
+std::vector<std::pair<geom::Vec, double>> OrthantHalfspaces(int n) {
+  std::vector<std::pair<geom::Vec, double>> hs;
+  for (int j = 0; j < n; ++j) {
+    geom::Vec a(n, 0.0);
+    a[j] = -1.0;
+    hs.emplace_back(a, 0.0);
+  }
+  return hs;
+}
+
+TEST(VolumeTest, EstimateVolumeMatchesScalarReference) {
+  // Pool invariance alone would let a rewrite change the bits the same way
+  // at every pool size; this pins them to the sequential definition.
+  struct Case {
+    const char* name;
+    std::vector<std::pair<geom::Vec, double>> hs;
+    int dim;
+    double epsilon;
+    int samples_per_phase;
+    int chunks;  // the grid shape the case exists to cover
+  };
+  const std::vector<Case> cases = {
+      // The ladder's coarse tier: one chunk, hence one lane, per phase.
+      {"coarse tier", OrthantHalfspaces(3), 3, 0.45, 0, 1},
+      // 29 chunks = lane groups 16+8+4+1, and 7444 % 29 = 20 extra samples
+      // spanning the first two groups.
+      {"groups with remainder", OrthantHalfspaces(3), 3, 0.1, 7444, 29},
+      // 21 phases of 829 samples: 3 chunks = lane groups 2+1, remainder 1.
+      {"5-D cone", OrderedConeHalfspaces(5), 5, 0.45, 0, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ConvexBody body = BodyOf(c.hs, c.dim);
+    auto inner = FindInnerBall(c.hs, c.dim, 1.0);
+    ASSERT_TRUE(inner.has_value());
+    const double outer = 1.0 + geom::Norm(inner->center);
+    VolumeOptions opts;
+    opts.epsilon = c.epsilon;
+    opts.samples_per_phase = c.samples_per_phase;
+    util::Rng ref_rng(41);
+    const ReferenceVolume ref =
+        ScalarReferenceVolume(body, *inner, outer, opts, ref_rng);
+    ASSERT_GT(ref.est.phases, 1);
+    ASSERT_EQ(ref.chunks, c.chunks);
+    for (int threads : {0, 1, 2, 4}) {
+      std::optional<util::ThreadPool> pool;
+      if (threads > 0) pool.emplace(threads);
+      opts.pool = pool ? &*pool : nullptr;
+      util::Rng rng(41);
+      VolumeEstimate est = EstimateVolume(body, *inner, outer, opts, rng);
+      EXPECT_EQ(est.volume, ref.est.volume) << "threads " << threads;
+      EXPECT_EQ(est.steps, ref.est.steps) << "threads " << threads;
+      EXPECT_EQ(est.phases, ref.est.phases) << "threads " << threads;
+    }
+  }
+}
+
+TEST(VolumeTest, TracedGridSpansOnePerPhaseGroupUnderTheCaller) {
+  // 29 chunks per phase = lane groups 16+8+4+1: four tasks per phase, run
+  // on a 2-thread pool, each opening its own span under the caller's.
+  const auto hs = OrthantHalfspaces(3);
+  ConvexBody body = BodyOf(hs, 3);
+  auto inner = FindInnerBall(hs, 3, 1.0);
+  ASSERT_TRUE(inner.has_value());
+  const double outer = 1.0 + geom::Norm(inner->center);
+  util::ThreadPool pool(2);
+  VolumeOptions opts;
+  opts.samples_per_phase = 7444;
+  opts.pool = &pool;
+  util::Rng untraced_rng(43);
+  const VolumeEstimate untraced =
+      EstimateVolume(body, *inner, outer, opts, untraced_rng);
+
+  obs::ClearTraces();
+  obs::EnableTracing();
+  VolumeEstimate traced;
+  obs::SpanContext caller;
+  {
+    obs::Span span("test.caller");
+    caller = span.context();
+    util::Rng rng(43);
+    traced = EstimateVolume(body, *inner, outer, opts, rng);
+  }
+  obs::DisableTracing();
+  const std::vector<obs::SpanRecord> spans = obs::CollectSpans();
+  obs::ClearTraces();
+
+  EXPECT_EQ(traced.volume, untraced.volume);
+  EXPECT_EQ(traced.steps, untraced.steps);
+  const std::vector<ChainGroup> groups = PartitionChainGrid(29);
+  ASSERT_EQ(groups.size(), 4u);
+  std::set<std::pair<int, int>> tasks;  // (phase, first)
+  int anneal = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.name != "volume.anneal_phase") continue;
+    ++anneal;
+    EXPECT_EQ(s.parent_id, caller.span_id);
+    EXPECT_EQ(s.trace_id, caller.trace_id);
+    double phase = 0, first = -1, lanes = 0;
+    for (const auto& a : s.annotations) {
+      if (a.key == "phase") phase = a.num_value;
+      if (a.key == "first") first = a.num_value;
+      if (a.key == "lanes") lanes = a.num_value;
+    }
+    EXPECT_GE(phase, 1);
+    EXPECT_LE(phase, traced.phases);
+    bool known_group = false;
+    for (const ChainGroup& g : groups) {
+      known_group |= g.first == first && g.width == lanes;
+    }
+    EXPECT_TRUE(known_group) << "first " << first << " lanes " << lanes;
+    tasks.emplace(static_cast<int>(phase), static_cast<int>(first));
+  }
+  const int want = traced.phases * static_cast<int>(groups.size());
+  EXPECT_EQ(anneal, want);
+  EXPECT_EQ(static_cast<int>(tasks.size()), want);
 }
 
 TEST(VolumeTest, OrthantCone3DIsEighthBall) {

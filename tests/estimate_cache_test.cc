@@ -2,13 +2,17 @@
 // and concurrent access of the sharded cache the serving layer shares
 // across requests.
 
+#include <algorithm>
 #include <cstdint>
+#include <list>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/service/estimate_cache.h"
+#include "src/util/rng.h"
 
 namespace mudb::service {
 namespace {
@@ -192,6 +196,64 @@ TEST(EstimateCacheTest, GenericCacheStoresArbitraryValues) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(cache.num_shards(), 2);
+}
+
+TEST(EstimateCacheTest, MatchesReferenceLruUnderRandomTraffic) {
+  // The flat slot table against a plain list-based LRU, over random inserts
+  // and lookups. Half the keys share one home position in the probe table
+  // (low hash bits all zero), so evictions exercise the backward-shift
+  // deletion inside long probe runs.
+  constexpr size_t kCapacity = 37;
+  ShardedLruCache<int64_t> cache(kCapacity, 1);
+  std::list<std::pair<convex::CanonicalBodyKey, int64_t>> reference;
+  std::vector<convex::CanonicalBodyKey> keys;
+  util::Rng rng(2026);
+  for (uint64_t i = 1; i <= 40; ++i) keys.push_back(Key(i << 20, 0));
+  for (uint64_t i = 0; i < 40; ++i) {
+    keys.push_back(Key(rng.engine()(), rng.engine()()));
+  }
+  int64_t hits = 0, misses = 0, insertions = 0, evictions = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const convex::CanonicalBodyKey& key =
+        keys[static_cast<size_t>(rng.Uniform(0, 1) * keys.size())];
+    auto it = std::find_if(reference.begin(), reference.end(),
+                           [&](const auto& e) { return e.first == key; });
+    if (rng.Uniform(0, 1) < 0.5) {
+      const int64_t value = op;
+      if (it != reference.end()) {
+        reference.erase(it);
+      } else {
+        ++insertions;
+        if (reference.size() == kCapacity) {
+          reference.pop_back();
+          ++evictions;
+        }
+      }
+      reference.emplace_front(key, value);
+      cache.Insert(key, value);
+    } else {
+      std::optional<int64_t> got = cache.Lookup(key);
+      ASSERT_EQ(got.has_value(), it != reference.end()) << "op " << op;
+      if (got) {
+        EXPECT_EQ(*got, it->second) << "op " << op;
+        reference.splice(reference.begin(), reference, it);
+        ++hits;
+      } else {
+        ++misses;
+      }
+    }
+  }
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, hits);
+  EXPECT_EQ(stats.misses, misses);
+  EXPECT_EQ(stats.insertions, insertions);
+  EXPECT_EQ(stats.evictions, evictions);
+  EXPECT_EQ(stats.entries, static_cast<int64_t>(reference.size()));
+  for (const auto& [key, value] : reference) {
+    std::optional<int64_t> got = cache.Lookup(key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, value);
+  }
 }
 
 TEST(EstimateCacheTest, ConcurrentLookupInsertIsSafe) {
