@@ -2,13 +2,18 @@
 // collection, LIMIT, and agreement with the general grounding pipeline.
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/datagen/datagen.h"
 #include "src/engine/cq.h"
 #include "src/engine/eval.h"
 #include "src/measure/measure.h"
+#include "src/sql/parser.h"
 #include "src/translate/ground.h"
+#include "src/util/fingerprint.h"
 
 namespace mudb::engine {
 namespace {
@@ -263,6 +268,216 @@ TEST(EvalTest, IdenticalNullJoinsWithItself) {
   ASSERT_EQ(result->candidates.size(), 1u);
   EXPECT_TRUE(result->candidates[0].certain);
   EXPECT_EQ(result->candidates[0].output[0], top);
+}
+
+// ---- Pinned result digest --------------------------------------------------
+//
+// Everything the evaluator hands downstream — each candidate's output tuple,
+// witness count, certain flag and the exact structure of its constraint
+// (formula kinds, comparison ops, every monomial exponent and the bits of
+// every coefficient), plus witnesses_enumerated and null_order — hashed into
+// one fingerprint per input set. The expected constants were computed with
+// the string-keyed evaluator of commit 59039bf; any rewrite of the evaluator
+// must reproduce them bit for bit.
+
+void AbsorbString(util::FingerprintHasher* h, const std::string& s) {
+  h->Absorb(s.size());
+  for (unsigned char ch : s) h->Absorb(ch);
+}
+
+void AbsorbValue(util::FingerprintHasher* h, const Value& v) {
+  h->Absorb(static_cast<uint64_t>(v.kind()));
+  switch (v.kind()) {
+    case Value::Kind::kBaseConst:
+      AbsorbString(h, v.base_const());
+      break;
+    case Value::Kind::kNumConst:
+      h->AbsorbDouble(v.num_const());
+      break;
+    case Value::Kind::kBaseNull:
+    case Value::Kind::kNumNull:
+      h->Absorb(v.null_id());
+      break;
+  }
+}
+
+void AbsorbFormula(util::FingerprintHasher* h,
+                   const constraints::RealFormula& f) {
+  h->Absorb(static_cast<uint64_t>(f.kind()));
+  if (f.kind() == constraints::RealFormula::Kind::kAtom) {
+    h->Absorb(static_cast<uint64_t>(f.atom().op));
+    const auto& terms = f.atom().poly.terms();
+    h->Absorb(terms.size());
+    for (const auto& [monomial, coeff] : terms) {
+      h->Absorb(monomial.size());
+      for (uint32_t e : monomial) h->Absorb(e);
+      h->AbsorbDouble(coeff);
+    }
+    return;
+  }
+  h->Absorb(f.children().size());
+  for (const constraints::RealFormula& child : f.children()) {
+    AbsorbFormula(h, child);
+  }
+}
+
+void AbsorbResult(util::FingerprintHasher* h, const EvalResult& r) {
+  h->Absorb(r.candidates.size());
+  for (const Candidate& c : r.candidates) {
+    h->Absorb(c.output.size());
+    for (const Value& v : c.output) AbsorbValue(h, v);
+    h->Absorb(c.witnesses);
+    h->Absorb(c.certain ? 1 : 0);
+    AbsorbFormula(h, c.constraint);
+  }
+  h->Absorb(r.witnesses_enumerated);
+  h->Absorb(r.null_order.size());
+  for (model::NullId id : r.null_order) h->Absorb(id);
+}
+
+// A database exercising the evaluator's corner cases: base nulls in a join
+// column and in an output column, one numeric null used twice in a product,
+// a null against a constant 0 and against an infinite constant.
+Database CornerCaseDb() {
+  Database db;
+  MUDB_CHECK(db.CreateRelation(RelationSchema("P", {{"id", Sort::kBase},
+                                                    {"seg", Sort::kBase},
+                                                    {"a", Sort::kNum},
+                                                    {"b", Sort::kNum},
+                                                    {"c", Sort::kNum}}))
+                 .ok());
+  MUDB_CHECK(db.CreateRelation(RelationSchema("M", {{"seg", Sort::kBase},
+                                                    {"price", Sort::kNum}}))
+                 .ok());
+  MUDB_CHECK(db.CreateRelation(RelationSchema("K", {{"id", Sort::kBase},
+                                                    {"v", Sort::kNum}}))
+                 .ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  Value seg_null = db.MakeBaseNull();     // shared by P and M: joins
+  Value lone_seg_null = db.MakeBaseNull();  // in P only: joins nothing
+  Value id_null = db.MakeBaseNull();      // an output column null
+  Value z0 = db.MakeNumNull();
+  Value z1 = db.MakeNumNull();
+  Value z2 = db.MakeNumNull();
+  Value z3 = db.MakeNumNull();
+  auto bc = [](const char* s) { return Value::BaseConst(s); };
+  auto nc = [](double d) { return Value::NumConst(d); };
+  auto insert = [&](const char* rel, model::Tuple t) {
+    MUDB_CHECK(db.Insert(rel, std::move(t)).ok());
+  };
+  insert("P", {bc("p0"), bc("s1"), nc(0.1), nc(0.7), nc(3.3)});
+  insert("P", {bc("p1"), bc("s1"), z0, z0, nc(2.5)});  // z0 * z0
+  insert("P", {bc("p2"), bc("s2"), z1, nc(0.0), nc(1.1)});  // z1 * 0
+  insert("P", {bc("p3"), bc("s2"), nc(inf), nc(0.0), z2});  // inf * 0
+  insert("P", {id_null, seg_null, nc(0.3), z2, nc(0.9)});
+  insert("P", {bc("p5"), lone_seg_null, z3, nc(1.5), nc(-2.0)});
+  insert("P", {bc("p6"), bc("s1"), nc(-1.25), z1, z3});
+  insert("P", {bc("p7"), seg_null, nc(4.0), nc(0.2), nc(0.6)});
+  insert("M", {bc("s1"), nc(1.0)});
+  insert("M", {bc("s1"), z3});
+  insert("M", {bc("s2"), nc(-0.5)});
+  insert("M", {seg_null, nc(2.0)});
+  insert("M", {bc("s3"), z0});
+  insert("K", {bc("k0"), nc(5.0)});
+  insert("K", {bc("k1"), z1});
+  insert("K", {bc("k2"), nc(6.0)});
+  insert("K", {bc("k3"), nc(0.1)});
+  return db;
+}
+
+TEST(EvalTest, MatchesDigestPinnedOnParent) {
+  // The three Figure 1 queries and one union over a small sales database.
+  datagen::SalesConfig config;
+  config.num_products = 4000;
+  config.num_orders = 2400;
+  config.num_segments = 40;
+  config.null_rate = 0.08;
+  auto sales = datagen::MakeSalesDatabase(config);
+  ASSERT_TRUE(sales.ok()) << sales.status();
+  const char* const kFig1[] = {
+      "SELECT P.seg FROM Products P, Market M "
+      "WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp * M.dis LIMIT 25",
+      "SELECT P.id FROM Products P, Orders O, Market M "
+      "WHERE P.seg = M.seg AND P.id = O.pr AND "
+      "P.rrp * P.dis * O.q <= 0.5 * M.rrp * M.dis * O.dis LIMIT 25",
+      "SELECT O.id FROM Products P, Orders O "
+      "WHERE P.id = O.pr AND O.dis >= 1.6 * P.dis * O.q LIMIT 25",
+  };
+  util::FingerprintHasher sales_hash;
+  for (const char* sql : kFig1) {
+    auto cq = sql::ParseSqlQuery(sql, *sales);
+    ASSERT_TRUE(cq.ok()) << cq.status();
+    auto r = EvaluateCq(*sales, *cq);
+    ASSERT_TRUE(r.ok()) << r.status();
+    AbsorbResult(&sales_hash, *r);
+  }
+  auto uq = sql::ParseSqlUnionQuery(
+      "SELECT P.id FROM Products P, Market M "
+      "WHERE P.seg = M.seg AND P.rrp - M.rrp > 10 "
+      "UNION SELECT O.pr FROM Orders O WHERE O.q * O.dis < 1 LIMIT 60",
+      *sales);
+  ASSERT_TRUE(uq.ok()) << uq.status();
+  auto ur = EvaluateUnion(*sales, *uq);
+  ASSERT_TRUE(ur.ok()) << ur.status();
+  AbsorbResult(&sales_hash, *ur);
+
+  // The corner cases, through SQL where the front-end can express them.
+  Database db = CornerCaseDb();
+  util::FingerprintHasher corner_hash;
+  const char* const kCorner[] = {
+      // Base-null join column and base-null output; z0 * z0.
+      "SELECT P.id, M.seg FROM P, M WHERE P.seg = M.seg AND "
+      "P.a * P.b <= M.price",
+      // Right-nested product; a constant 0 and an infinite constant factor.
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND "
+      "P.a * (P.b * P.c) < 0.3 * M.price",
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND "
+      "P.a * (P.b * P.c) * M.price < 1",
+      "SELECT P.id, P.a FROM P WHERE P.a * 0.0 <= P.c",
+      // Add/Neg sides with nulls, and a constant join column.
+      "SELECT P.id, M.price FROM P, M WHERE P.seg = M.seg AND "
+      "P.a - M.price + 2 * P.b > -P.c",
+      "SELECT P.seg, P.id FROM P, M WHERE P.seg = M.seg AND M.seg = 's1' "
+      "AND P.c - P.c * 2 >= M.price - 1",
+      // LIMIT cuts the candidate list.
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND P.c > M.price LIMIT 2",
+  };
+  for (const char* sql : kCorner) {
+    auto cq = sql::ParseSqlQuery(sql, db);
+    ASSERT_TRUE(cq.ok()) << sql << ": " << cq.status();
+    auto r = EvaluateCq(db, *cq);
+    ASSERT_TRUE(r.ok()) << r.status();
+    AbsorbResult(&corner_hash, *r);
+  }
+  // A numeric constant atom argument and a numeric join, pruned and kept.
+  ConjunctiveQuery cq;
+  cq.atoms.push_back(CqAtom{"K", {AtomArg::BaseVar("k"),
+                                  AtomArg::NumConst(5.0)}});
+  cq.atoms.push_back(CqAtom{"P", {AtomArg::BaseVar("id"),
+                                  AtomArg::BaseVar("seg"),
+                                  AtomArg::NumVar("a"), AtomArg::NumVar("b"),
+                                  AtomArg::NumVar("c")}});
+  cq.atoms.push_back(
+      CqAtom{"M", {AtomArg::BaseVar("seg"), AtomArg::NumVar("a")}});
+  cq.comparisons.push_back(
+      CqComparison{Term::Var("b") * Term::Var("c"), CmpOp::kNeq,
+                   Term::Var("a")});
+  cq.output = {TypedVar{"k", Sort::kBase}, TypedVar{"id", Sort::kBase},
+               TypedVar{"a", Sort::kNum}};
+  EvalOptions keep;
+  keep.prune_measure_zero = false;
+  for (const EvalOptions& options : {EvalOptions{}, keep}) {
+    auto r = EvaluateCq(db, cq, options);
+    ASSERT_TRUE(r.ok()) << r.status();
+    AbsorbResult(&corner_hash, *r);
+  }
+
+  util::Fingerprint128 sales_fp = sales_hash.Digest();
+  EXPECT_EQ(sales_fp.hi, 0x0bd71fee8e28142eull);
+  EXPECT_EQ(sales_fp.lo, 0xb5857756518dd086ull);
+  util::Fingerprint128 corner_fp = corner_hash.Digest();
+  EXPECT_EQ(corner_fp.hi, 0x37bc3adc0bb2b56cull);
+  EXPECT_EQ(corner_fp.lo, 0x2948df1d7710cd8dull);
 }
 
 // ---- Unions of conjunctive queries ----------------------------------------
