@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <thread>
 
 #include "bench/bench_json.h"
@@ -116,9 +117,13 @@ int main(int argc, char** argv) {
 
   std::printf("# FPRAS (Thm 7.1) vs AFPRAS (Thm 8.1) on linear cone DNFs\n");
   std::printf("# hardware threads: %u\n", std::thread::hardware_concurrency());
-  std::printf("# %3s %10s %12s %12s %12s %12s %12s %12s %12s %9s %4s\n", "n",
-              "truth", "fpras_mu", "fpras_1t_ms", "fpras_2t_ms", "fpras_4t_ms",
-              "afpras_mu", "afpras_ms", "rel_err", "speedup4", "det");
+  // cpu/wall4 is the process CPU seconds per wall second of the 4-thread
+  // run: how many CPUs it actually got. A speedup4 near 1 with cpu/wall4
+  // near 1 means a contended host, not threads that do not help.
+  std::printf("# %3s %10s %12s %12s %12s %12s %12s %12s %12s %9s %9s %4s\n",
+              "n", "truth", "fpras_mu", "fpras_1t_ms", "fpras_2t_ms",
+              "fpras_4t_ms", "afpras_mu", "afpras_ms", "rel_err", "speedup4",
+              "cpu/wall4", "det");
   bool all_deterministic = true;
   double sum_speedup = 0.0;
   int rows = 0;
@@ -163,6 +168,7 @@ int main(int argc, char** argv) {
     // return the identical estimate — only the wall-clock may move.
     double fpras_ms[3] = {0, 0, 0};
     double fpras_mu = 0.0;
+    double cpu_per_wall4 = 0.0;
     bool deterministic = true;
     const int thread_axis[3] = {1, 2, 4};
     for (int t = 0; t < 3; ++t) {
@@ -170,10 +176,14 @@ int main(int argc, char** argv) {
       fopts.epsilon = 0.1;
       fopts.num_threads = thread_axis[t];
       util::Rng frng(n);
+      const std::clock_t cpu_start = std::clock();
       util::WallTimer ftimer;
       auto fpras = measure::FprasConjunctive(f, fopts, frng);
       MUDB_CHECK(fpras.ok());
       fpras_ms[t] = ftimer.ElapsedMillis();
+      const double cpu_s =
+          static_cast<double>(std::clock() - cpu_start) / CLOCKS_PER_SEC;
+      if (thread_axis[t] == 4) cpu_per_wall4 = cpu_s / (fpras_ms[t] / 1e3);
       if (t == 0) {
         fpras_mu = fpras->estimate;
       } else if (fpras->estimate != fpras_mu) {
@@ -215,10 +225,10 @@ int main(int argc, char** argv) {
                               : std::fabs(fpras_mu - truth);
     std::printf(
         "  %3d %10.4f %12.4f %12.2f %12.2f %12.2f %12.4f %12.2f %12.3f "
-        "%9.2f %4s\n",
+        "%9.2f %9.2f %4s\n",
         n, truth, fpras_mu, fpras_ms[0], fpras_ms[1], fpras_ms[2],
         afpras->estimate, afpras_ms, rel, fpras_ms[0] / fpras_ms[2],
-        deterministic ? "ok" : "DIFF");
+        cpu_per_wall4, deterministic ? "ok" : "DIFF");
   }
 
   // Raw kernel throughput: the steps/sec trajectory metric. The scalar row

@@ -21,7 +21,167 @@ using model::Tuple;
 using model::Value;
 using poly::Polynomial;
 
-constexpr char kKeySep = '\x1f';
+size_t CombineHash(size_t seed, size_t h) {
+  return seed ^ (h + 0x9E3779B97F4A7C15ull + (seed << 6) + (seed >> 2));
+}
+
+// Double arithmetic with Polynomial's rules for constant polynomials: a zero
+// factor gives the zero polynomial even against inf/NaN, and a zero term is
+// never stored. Every zero-valued double (±0) stands for the zero polynomial.
+double PolyMul(double a, double b) {
+  return (a == 0.0 || b == 0.0) ? 0.0 : a * b;
+}
+
+int Sign(double c) { return c > 0 ? 1 : (c < 0 ? -1 : 0); }
+
+// One step of a comparison side compiled to postfix over variable slots.
+struct TermOp {
+  enum class Kind { kSlot, kConst, kAdd, kMul, kNeg };
+  Kind kind;
+  int slot = -1;       // kSlot
+  double value = 0.0;  // kConst
+};
+
+struct CompiledSide {
+  std::vector<TermOp> program;  // postfix, children left to right
+  std::vector<int> slots;       // slots the program reads
+  /// Only variables, constants and products: with nulls, one monomial.
+  bool product = true;
+};
+
+struct CompiledComparison {
+  CompiledSide lhs;
+  CompiledSide rhs;
+  CmpOp op;
+};
+
+// One step of binding a tuple to an atom, in argument order. Base columns
+// probed through the index are already known equal and need no step.
+struct BindOp {
+  enum class Kind {
+    kBind,        // first occurrence of a variable: env[slot] = &t[column]
+    kCheckBase,   // base variable bound earlier in the same atom
+    kNumRebind,   // numeric variable bound earlier: pointwise equality
+    kNumConstEq,  // numeric constant argument: pointwise equality
+  };
+  Kind kind;
+  size_t column;
+  int slot = -1;
+  double value = 0.0;  // kNumConstEq
+};
+
+// A value known at compile time (a query constant) or read from a slot.
+struct SlotOrConst {
+  int slot = -1;
+  Value constant;
+};
+
+// Rows of a relation grouped by the values of some columns. Lookups hash the
+// key with Value::Hash and compare with Value equality, so a base null
+// matches only itself.
+class ProbeIndex {
+ public:
+  void Build(const std::vector<Tuple>& tuples, std::vector<size_t> columns) {
+    tuples_ = &tuples;
+    columns_ = std::move(columns);
+    const size_t n = tuples.size();
+    size_t capacity = 2;
+    while (capacity < 2 * n) capacity *= 2;
+    mask_ = capacity - 1;
+    table_.assign(capacity, kEmpty);
+    std::vector<uint32_t> row_group(n);
+    for (size_t t = 0; t < n; ++t) {
+      size_t hash = 0;
+      for (size_t c : columns_) hash = CombineHash(hash, tuples[t][c].Hash());
+      size_t i = hash & mask_;
+      for (; table_[i] != kEmpty; i = (i + 1) & mask_) {
+        const Group& g = groups_[table_[i]];
+        if (g.hash == hash && SameKey(tuples[g.first_row], tuples[t])) break;
+      }
+      if (table_[i] == kEmpty) {
+        table_[i] = static_cast<uint32_t>(groups_.size());
+        groups_.push_back(Group{hash, static_cast<uint32_t>(t), 0, 0});
+      }
+      row_group[t] = table_[i];
+      ++groups_[table_[i]].size;
+    }
+    uint32_t begin = 0;
+    for (Group& g : groups_) {
+      g.begin = begin;
+      begin += g.size;
+    }
+    rows_.resize(n);
+    std::vector<uint32_t> filled(groups_.size(), 0);
+    for (size_t t = 0; t < n; ++t) {
+      uint32_t g = row_group[t];
+      rows_[groups_[g].begin + filled[g]++] = static_cast<uint32_t>(t);
+    }
+    // Visiting order within a group: the order in which the evaluator's
+    // previous index, a libstdc++ std::unordered_multimap filled in row order,
+    // returned equal keys. Inserts into a table of at most 20 elements go
+    // right after the first equal key; later ones go in front of the group.
+    // So rows from the 22nd on come newest first, then the group's first row
+    // among the first 21, then the rest of those newest first. The order
+    // decides each constraint's disjunct order and which candidates a LIMIT
+    // keeps, so it is kept here, now on every platform.
+    constexpr uint32_t kSmallTableRows = 21;
+    for (const Group& g : groups_) {
+      uint32_t* first = rows_.data() + g.begin;
+      uint32_t* last = first + g.size;
+      uint32_t* small_end = std::lower_bound(first, last, kSmallTableRows);
+      if (small_end != first) std::reverse(first + 1, small_end);
+      std::reverse(small_end, last);
+      std::rotate(first, small_end, last);
+    }
+  }
+
+  /// The rows whose key columns equal `key` (one value per column), in
+  /// visiting order.
+  std::pair<const uint32_t*, const uint32_t*> Find(
+      const std::vector<const Value*>& key) const {
+    size_t hash = 0;
+    for (const Value* v : key) hash = CombineHash(hash, v->Hash());
+    for (size_t i = hash & mask_; table_[i] != kEmpty; i = (i + 1) & mask_) {
+      const Group& g = groups_[table_[i]];
+      if (g.hash == hash && KeyMatches(key, (*tuples_)[g.first_row])) {
+        const uint32_t* first = rows_.data() + g.begin;
+        return {first, first + g.size};
+      }
+    }
+    return {nullptr, nullptr};
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+
+  struct Group {
+    size_t hash;
+    uint32_t first_row;
+    uint32_t begin;  // offset into rows_
+    uint32_t size;
+  };
+
+  bool SameKey(const Tuple& a, const Tuple& b) const {
+    for (size_t c : columns_) {
+      if (a[c] != b[c]) return false;
+    }
+    return true;
+  }
+
+  bool KeyMatches(const std::vector<const Value*>& key, const Tuple& t) const {
+    for (size_t i = 0; i < key.size(); ++i) {
+      if (*key[i] != t[columns_[i]]) return false;
+    }
+    return true;
+  }
+
+  const std::vector<Tuple>* tuples_ = nullptr;
+  std::vector<size_t> columns_;
+  size_t mask_ = 0;
+  std::vector<uint32_t> table_;  // open addressing: group id or kEmpty
+  std::vector<Group> groups_;
+  std::vector<uint32_t> rows_;   // row ids, grouped
+};
 
 struct PlannedAtom {
   const CqAtom* atom;
@@ -29,27 +189,21 @@ struct PlannedAtom {
   /// Base positions whose value is known when this atom is processed
   /// (constants, or variables bound by earlier atoms).
   std::vector<size_t> probe_positions;
-  /// Hash index from probe-key to tuple indices (empty if no probe columns).
-  std::unordered_multimap<std::string, size_t> index;
   /// Comparisons fully bound once this atom is processed.
   std::vector<const CqComparison*> ready_comparisons;
-  /// Base equalities fully bound once this atom is processed.
-  std::vector<const CqBaseEquality*> ready_base_equalities;
+
+  // Compiled form (see Evaluator::Compile).
+  std::vector<SlotOrConst> probe_args;  // one per probe position
+  ProbeIndex index;                     // unused without probe positions
+  std::vector<BindOp> binds;
+  std::vector<CompiledComparison> comparisons;
 };
 
 class Evaluator {
  public:
   Evaluator(const Database& db, const ConjunctiveQuery& cq,
             const EvalOptions& options)
-      : cq_(cq), options_(options) {
-    vbase_ = model::MakeBijectiveBaseValuation(db);
-    vdb_ = vbase_.Apply(db);
-    // mudb-lint: allow(no-unordered-iteration-in-results) -- fills the
-    // std::map null_names_; the valuation is bijective, so keys are
-    // unique and the map is independent of hash iteration order.
-    for (const auto& [id, name] : vbase_.base_map()) {
-      null_names_.emplace(name, Value::BaseNull(id));
-    }
+      : db_(db), cq_(cq), options_(options) {
     for (NullId id : db.CollectNumNullIds()) {
       z_index_.emplace(id, static_cast<int>(null_order_.size()));
       null_order_.push_back(id);
@@ -57,20 +211,18 @@ class Evaluator {
   }
 
   util::StatusOr<EvalResult> Run() {
-    MUDB_RETURN_IF_ERROR(cq_.Validate(vdb_));
+    MUDB_RETURN_IF_ERROR(cq_.Validate(db_));
     RewriteBaseEqualities();
-    EvalResult empty;
-    empty.null_order = null_order_;
-    if (impossible_) return empty;  // contradictory constant equalities
-    MUDB_RETURN_IF_ERROR(Plan());
-    MUDB_RETURN_IF_ERROR(Enumerate(0));
     EvalResult result;
     result.null_order = null_order_;
+    if (impossible_) return result;  // contradictory constant equalities
+    MUDB_RETURN_IF_ERROR(Plan());
+    Compile();
+    MUDB_RETURN_IF_ERROR(Enumerate(0));
     result.witnesses_enumerated = witnesses_enumerated_;
-    for (const Tuple& key : candidate_order_) {
-      CandidateState& state = candidates_.at(key);
+    for (CandidateState& state : candidates_) {
       Candidate c;
-      c.output = key;
+      c.output = std::move(state.output);
       c.witnesses = state.disjuncts.size();
       c.certain = state.certain;
       c.constraint = state.certain
@@ -83,6 +235,7 @@ class Evaluator {
 
  private:
   struct CandidateState {
+    Tuple output;
     std::vector<RealFormula> disjuncts;
     bool certain = false;
   };
@@ -152,6 +305,7 @@ class Evaluator {
     }
     std::vector<bool> placed(n, false);
     std::set<std::string> bound_vars;
+    std::set<const CqComparison*> scheduled;
 
     auto bound_base_positions = [&](const CqAtom& atom) {
       std::vector<size_t> cols;
@@ -173,7 +327,7 @@ class Evaluator {
       for (size_t i = 0; i < n; ++i) {
         if (placed[i]) continue;
         MUDB_ASSIGN_OR_RETURN(const Relation* rel,
-                              vdb_.GetRelation(rewritten_.atoms[i].relation));
+                              db_.GetRelation(rewritten_.atoms[i].relation));
         size_t probe = bound_base_positions(rewritten_.atoms[i]).size();
         size_t size = rel->size();
         if (best < 0 || probe > best_probe ||
@@ -185,7 +339,7 @@ class Evaluator {
       }
       const CqAtom& atom = rewritten_.atoms[best];
       MUDB_ASSIGN_OR_RETURN(const Relation* rel,
-                            vdb_.GetRelation(atom.relation));
+                            db_.GetRelation(atom.relation));
       PlannedAtom planned;
       planned.atom = &atom;
       planned.relation = rel;
@@ -201,63 +355,139 @@ class Evaluator {
       }
       plan_.push_back(std::move(planned));
 
-      // Schedule comparisons / base equalities at the earliest step where
-      // all their variables are bound.
-      auto all_bound = [&](const std::set<std::string>& vars) {
-        for (const std::string& v : vars) {
-          if (bound_vars.count(v) == 0) return false;
-        }
-        return true;
-      };
+      // Schedule comparisons at the earliest step where all their variables
+      // are bound.
       for (const CqComparison& cmp : rewritten_.comparisons) {
-        if (scheduled_cmp_.count(&cmp)) continue;
+        if (scheduled.count(&cmp)) continue;
         std::set<std::string> vars;
         cmp.lhs.CollectVariables(&vars);
         cmp.rhs.CollectVariables(&vars);
-        if (all_bound(vars)) {
+        bool all_bound = std::all_of(
+            vars.begin(), vars.end(),
+            [&](const std::string& v) { return bound_vars.count(v) > 0; });
+        if (all_bound) {
           plan_.back().ready_comparisons.push_back(&cmp);
-          scheduled_cmp_.insert(&cmp);
-        }
-      }
-      for (const CqBaseEquality& eq : rewritten_.base_equalities) {
-        if (scheduled_eq_.count(&eq)) continue;
-        std::set<std::string> vars;
-        if (eq.lhs.is_var()) vars.insert(eq.lhs.text());
-        if (eq.rhs.is_var()) vars.insert(eq.rhs.text());
-        if (all_bound(vars)) {
-          plan_.back().ready_base_equalities.push_back(&eq);
-          scheduled_eq_.insert(&eq);
+          scheduled.insert(&cmp);
         }
       }
     }
-    if (scheduled_cmp_.size() != rewritten_.comparisons.size() ||
-        scheduled_eq_.size() != rewritten_.base_equalities.size()) {
+    if (scheduled.size() != rewritten_.comparisons.size()) {
       return util::Status::Internal("unschedulable comparison (unbound vars)");
-    }
-
-    // Build hash indexes over the probe positions.
-    for (PlannedAtom& p : plan_) {
-      if (p.probe_positions.empty()) continue;
-      const auto& tuples = p.relation->tuples();
-      p.index.reserve(tuples.size());
-      for (size_t t = 0; t < tuples.size(); ++t) {
-        p.index.emplace(TupleKey(tuples[t], p.probe_positions), t);
-      }
     }
     return util::Status::OK();
   }
 
-  static std::string TupleKey(const Tuple& t,
-                              const std::vector<size_t>& positions) {
-    std::string key;
-    for (size_t i : positions) {
-      key += t[i].base_const();
-      key += kKeySep;
+  // ---- Compilation -------------------------------------------------------
+  //
+  // Every variable gets a slot; during enumeration env_[slot] points at the
+  // bound entry of a tuple of db_. Whether a variable is already bound when
+  // an argument is reached is the same on every branch, so binding compiles
+  // to a fixed list of steps per atom and needs no undo trail.
+
+  int SlotOf(const std::string& var) {
+    auto [it, inserted] =
+        slots_.emplace(var, static_cast<int>(slots_.size()));
+    return it->second;
+  }
+
+  void CompileTerm(const Term& t, CompiledSide* side) {
+    switch (t.kind()) {
+      case Term::Kind::kVar: {
+        int slot = slots_.at(t.var_name());
+        side->program.push_back({TermOp::Kind::kSlot, slot, 0.0});
+        side->slots.push_back(slot);
+        return;
+      }
+      case Term::Kind::kConst:
+        side->program.push_back({TermOp::Kind::kConst, -1, t.const_value()});
+        return;
+      case Term::Kind::kAdd:
+      case Term::Kind::kMul:
+        CompileTerm(t.children()[0], side);
+        CompileTerm(t.children()[1], side);
+        if (t.kind() == Term::Kind::kAdd) {
+          side->program.push_back({TermOp::Kind::kAdd, -1, 0.0});
+          side->product = false;
+        } else {
+          side->program.push_back({TermOp::Kind::kMul, -1, 0.0});
+        }
+        return;
+      case Term::Kind::kNeg:
+        CompileTerm(t.children()[0], side);
+        side->program.push_back({TermOp::Kind::kNeg, -1, 0.0});
+        side->product = false;
+        return;
     }
-    return key;
+  }
+
+  void Compile() {
+    std::set<int> bound;
+    for (PlannedAtom& p : plan_) {
+      const CqAtom& atom = *p.atom;
+      for (size_t col : p.probe_positions) {
+        const logic::BaseArg& b = atom.args[col].base();
+        SlotOrConst arg;
+        if (b.is_var()) {
+          arg.slot = SlotOf(b.text());
+        } else {
+          arg.constant = Value::BaseConst(b.text());
+        }
+        p.probe_args.push_back(std::move(arg));
+      }
+      for (size_t i = 0; i < atom.args.size(); ++i) {
+        const AtomArg& a = atom.args[i];
+        if (std::find(p.probe_positions.begin(), p.probe_positions.end(), i) !=
+            p.probe_positions.end()) {
+          continue;
+        }
+        if (a.sort() == Sort::kNum && a.term().kind() == Term::Kind::kConst) {
+          p.binds.push_back(
+              {BindOp::Kind::kNumConstEq, i, -1, a.term().const_value()});
+          continue;
+        }
+        int slot = SlotOf(a.sort() == Sort::kBase ? a.base().text()
+                                                  : a.term().var_name());
+        BindOp::Kind kind = BindOp::Kind::kBind;
+        if (!bound.insert(slot).second) {
+          kind = a.sort() == Sort::kBase ? BindOp::Kind::kCheckBase
+                                         : BindOp::Kind::kNumRebind;
+        }
+        p.binds.push_back({kind, i, slot, 0.0});
+      }
+      if (!p.probe_positions.empty()) {
+        p.index.Build(p.relation->tuples(), p.probe_positions);
+      }
+      for (const CqComparison* cmp : p.ready_comparisons) {
+        CompiledComparison c;
+        c.op = cmp->op;
+        CompileTerm(cmp->lhs, &c.lhs);
+        CompileTerm(cmp->rhs, &c.rhs);
+        p.comparisons.push_back(std::move(c));
+      }
+    }
+    for (const logic::TypedVar& v : cq_.output) {
+      SlotOrConst col;
+      if (v.sort == Sort::kBase) {
+        std::string root = Canon(v.name);
+        auto it = const_binding_.find(root);
+        if (it != const_binding_.end()) {
+          col.constant = Value::BaseConst(it->second);
+        } else {
+          col.slot = slots_.at(root);
+        }
+      } else {
+        col.slot = slots_.at(v.name);
+      }
+      output_.push_back(std::move(col));
+    }
+    env_.assign(slots_.size(), nullptr);
   }
 
   // ---- Enumeration -------------------------------------------------------
+
+  const Value& Resolve(const SlotOrConst& arg) const {
+    return arg.slot >= 0 ? *env_[arg.slot] : arg.constant;
+  }
 
   Polynomial ValueToPoly(const Value& v) const {
     if (v.kind() == Value::Kind::kNumConst) {
@@ -267,31 +497,98 @@ class Evaluator {
     return Polynomial::Variable(z_index_.at(v.null_id()));
   }
 
-  util::StatusOr<Polynomial> TermToPoly(const Term& t) const {
-    switch (t.kind()) {
-      case Term::Kind::kVar: {
-        auto it = num_env_.find(t.var_name());
-        MUDB_CHECK(it != num_env_.end());
-        return ValueToPoly(it->second);
-      }
-      case Term::Kind::kConst:
-        return Polynomial::Constant(t.const_value());
-      case Term::Kind::kAdd: {
-        MUDB_ASSIGN_OR_RETURN(Polynomial a, TermToPoly(t.children()[0]));
-        MUDB_ASSIGN_OR_RETURN(Polynomial b, TermToPoly(t.children()[1]));
-        return a + b;
-      }
-      case Term::Kind::kMul: {
-        MUDB_ASSIGN_OR_RETURN(Polynomial a, TermToPoly(t.children()[0]));
-        MUDB_ASSIGN_OR_RETURN(Polynomial b, TermToPoly(t.children()[1]));
-        return a * b;
-      }
-      case Term::Kind::kNeg: {
-        MUDB_ASSIGN_OR_RETURN(Polynomial a, TermToPoly(t.children()[0]));
-        return -a;
+  bool SideIsConstant(const CompiledSide& side) const {
+    for (int slot : side.slots) {
+      if (env_[slot]->kind() != Value::Kind::kNumConst) return false;
+    }
+    return true;
+  }
+
+  // Evaluates a side whose slots all hold numeric constants.
+  double EvalConstant(const CompiledSide& side) {
+    stack_.clear();
+    for (const TermOp& op : side.program) {
+      switch (op.kind) {
+        case TermOp::Kind::kSlot:
+          stack_.push_back(env_[op.slot]->num_const());
+          break;
+        case TermOp::Kind::kConst:
+          stack_.push_back(op.value);
+          break;
+        case TermOp::Kind::kAdd:
+        case TermOp::Kind::kMul: {
+          double b = stack_.back();
+          stack_.pop_back();
+          double& a = stack_.back();
+          a = op.kind == TermOp::Kind::kAdd ? a + b : PolyMul(a, b);
+          break;
+        }
+        case TermOp::Kind::kNeg:
+          stack_.back() = -stack_.back();
+          break;
       }
     }
-    return util::Status::Internal("unreachable term kind");
+    return stack_.back();
+  }
+
+  // The polynomial of a side holding at least one null: a product becomes a
+  // single monomial, whose coefficient is multiplied out in tree order (as
+  // the Polynomial products did); other shapes go through Polynomial.
+  Polynomial SideToPoly(const CompiledSide& side) {
+    if (SideIsConstant(side)) return Polynomial::Constant(EvalConstant(side));
+    if (side.product) {
+      poly::Monomial m;
+      stack_.clear();
+      for (const TermOp& op : side.program) {
+        switch (op.kind) {
+          case TermOp::Kind::kSlot: {
+            const Value& v = *env_[op.slot];
+            if (v.kind() == Value::Kind::kNumConst) {
+              stack_.push_back(v.num_const());
+              break;
+            }
+            size_t z = static_cast<size_t>(z_index_.at(v.null_id()));
+            if (m.size() <= z) m.resize(z + 1, 0);
+            ++m[z];
+            stack_.push_back(1.0);
+            break;
+          }
+          case TermOp::Kind::kConst:
+            stack_.push_back(op.value);
+            break;
+          default: {  // kMul
+            double b = stack_.back();
+            stack_.pop_back();
+            stack_.back() = PolyMul(stack_.back(), b);
+            break;
+          }
+        }
+      }
+      return Polynomial::FromMonomial(std::move(m), stack_.back());
+    }
+    std::vector<Polynomial> stack;
+    for (const TermOp& op : side.program) {
+      switch (op.kind) {
+        case TermOp::Kind::kSlot:
+          stack.push_back(ValueToPoly(*env_[op.slot]));
+          break;
+        case TermOp::Kind::kConst:
+          stack.push_back(Polynomial::Constant(op.value));
+          break;
+        case TermOp::Kind::kAdd:
+        case TermOp::Kind::kMul: {
+          Polynomial b = std::move(stack.back());
+          stack.pop_back();
+          Polynomial& a = stack.back();
+          a = op.kind == TermOp::Kind::kAdd ? a + b : a * b;
+          break;
+        }
+        case TermOp::Kind::kNeg:
+          stack.back() = -stack.back();
+          break;
+      }
+    }
+    return std::move(stack.back());
   }
 
   // Outcome of trying to add a constraint along the current branch.
@@ -300,71 +597,83 @@ class Evaluator {
   // Adds `poly op 0`; folds constants, prunes measure-zero equalities.
   Add AddConstraint(Polynomial poly, CmpOp op) {
     if (poly.IsConstant()) {
-      double c = poly.ConstantTerm();
-      int sign = c > 0 ? 1 : (c < 0 ? -1 : 0);
-      return constraints::CmpTruthFromSign(op, sign) ? Add::kOk : Add::kDead;
+      return constraints::CmpTruthFromSign(op, Sign(poly.ConstantTerm()))
+                 ? Add::kOk
+                 : Add::kDead;
     }
     if (op == CmpOp::kEq && options_.prune_measure_zero) {
       return Add::kDead;  // nontrivial equality on nulls: measure zero
     }
-    branch_atoms_.push_back(
-        RealFormula::Cmp(std::move(poly), op));
+    branch_atoms_.push_back(RealFormula::Cmp(std::move(poly), op));
     return Add::kOk;
+  }
+
+  Add AddComparison(const CompiledComparison& cmp) {
+    if (SideIsConstant(cmp.lhs) && SideIsConstant(cmp.rhs)) {
+      double diff = EvalConstant(cmp.lhs) - EvalConstant(cmp.rhs);
+      return constraints::CmpTruthFromSign(cmp.op, Sign(diff)) ? Add::kOk
+                                                               : Add::kDead;
+    }
+    return AddConstraint(SideToPoly(cmp.lhs) - SideToPoly(cmp.rhs), cmp.op);
+  }
+
+  // Binds one tuple to an atom; returns false if the branch dies.
+  bool BindTuple(const PlannedAtom& p, const Tuple& t) {
+    for (const BindOp& op : p.binds) {
+      const Value& v = t[op.column];
+      switch (op.kind) {
+        case BindOp::Kind::kBind:
+          env_[op.slot] = &v;
+          break;
+        case BindOp::Kind::kCheckBase:
+          if (*env_[op.slot] != v) return false;
+          break;
+        case BindOp::Kind::kNumRebind:
+          // Rebinding to a different value: requires pointwise equality.
+          if (*env_[op.slot] != v &&
+              AddConstraint(ValueToPoly(*env_[op.slot]) - ValueToPoly(v),
+                            CmpOp::kEq) == Add::kDead) {
+            return false;
+          }
+          break;
+        case BindOp::Kind::kNumConstEq:
+          if (AddConstraint(ValueToPoly(v) - Polynomial::Constant(op.value),
+                            CmpOp::kEq) == Add::kDead) {
+            return false;
+          }
+          break;
+      }
+    }
+    return true;
   }
 
   util::Status Enumerate(size_t depth) {
     if (depth == plan_.size()) {
       return FinishWitness();
     }
-    PlannedAtom& p = plan_[depth];
+    const PlannedAtom& p = plan_[depth];
     const auto& tuples = p.relation->tuples();
 
     auto try_tuple = [&](size_t row) -> util::Status {
-      const Tuple& t = tuples[row];
-      size_t base_trail = base_trail_.size();
-      size_t num_trail = num_trail_.size();
       size_t atom_trail = branch_atoms_.size();
-      bool ok = BindTuple(*p.atom, t);
-      if (ok) {
-        for (const CqComparison* cmp : p.ready_comparisons) {
-          util::StatusOr<Polynomial> lhs = TermToPoly(cmp->lhs);
-          if (!lhs.ok()) return lhs.status();
-          util::StatusOr<Polynomial> rhs = TermToPoly(cmp->rhs);
-          if (!rhs.ok()) return rhs.status();
-          if (AddConstraint(*lhs - *rhs, cmp->op) == Add::kDead) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (ok) {
-        for (const CqBaseEquality* eq : p.ready_base_equalities) {
-          if (ResolveBase(eq->lhs) != ResolveBase(eq->rhs)) {
-            ok = false;
-            break;
-          }
-        }
+      bool ok = BindTuple(p, tuples[row]);
+      for (size_t i = 0; ok && i < p.comparisons.size(); ++i) {
+        ok = AddComparison(p.comparisons[i]) == Add::kOk;
       }
       util::Status status = util::Status::OK();
       if (ok) status = Enumerate(depth + 1);
-      // Undo bindings and constraints.
-      while (base_trail_.size() > base_trail) {
-        base_env_.erase(base_trail_.back());
-        base_trail_.pop_back();
-      }
-      while (num_trail_.size() > num_trail) {
-        num_env_.erase(num_trail_.back());
-        num_trail_.pop_back();
-      }
       branch_atoms_.resize(atom_trail);
       return status;
     };
 
     if (!p.probe_positions.empty()) {
-      std::string key = ProbeKey(p);
-      auto [lo, hi] = p.index.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
-        MUDB_RETURN_IF_ERROR(try_tuple(it->second));
+      probe_key_.clear();
+      for (const SlotOrConst& arg : p.probe_args) {
+        probe_key_.push_back(&Resolve(arg));
+      }
+      auto [first, last] = p.index.Find(probe_key_);
+      for (const uint32_t* row = first; row != last; ++row) {
+        MUDB_RETURN_IF_ERROR(try_tuple(*row));
       }
     } else {
       for (size_t row = 0; row < tuples.size(); ++row) {
@@ -374,132 +683,68 @@ class Evaluator {
     return util::Status::OK();
   }
 
-  std::string ProbeKey(const PlannedAtom& p) const {
-    std::string key;
-    for (size_t i : p.probe_positions) {
-      const AtomArg& a = p.atom->args[i];
-      if (a.base().is_var()) {
-        key += base_env_.at(a.base().text());
-      } else {
-        key += a.base().text();
-      }
-      key += kKeySep;
-    }
-    return key;
-  }
-
-  std::string ResolveBase(const logic::BaseArg& arg) const {
-    return arg.is_var() ? base_env_.at(arg.text()) : arg.text();
-  }
-
-  // Binds one tuple to an atom; returns false if the branch dies. Leaves the
-  // trails holding whatever was pushed (caller rolls back).
-  bool BindTuple(const CqAtom& atom, const Tuple& t) {
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const AtomArg& a = atom.args[i];
-      if (a.sort() == Sort::kBase) {
-        const std::string& val = t[i].base_const();
-        if (a.base().is_var()) {
-          auto [it, inserted] = base_env_.try_emplace(a.base().text(), val);
-          if (inserted) {
-            base_trail_.push_back(a.base().text());
-          } else if (it->second != val) {
-            return false;
-          }
-        } else if (a.base().text() != val) {
-          return false;
-        }
-      } else {
-        const Term& term = a.term();
-        if (term.kind() == Term::Kind::kConst) {
-          if (AddConstraint(ValueToPoly(t[i]) -
-                                Polynomial::Constant(term.const_value()),
-                            CmpOp::kEq) == Add::kDead) {
-            return false;
-          }
-        } else {
-          const std::string& name = term.var_name();
-          auto [it, inserted] = num_env_.try_emplace(name, t[i]);
-          if (inserted) {
-            num_trail_.push_back(name);
-          } else if (!(it->second == t[i])) {
-            // Rebinding to a different value: requires pointwise equality.
-            if (AddConstraint(ValueToPoly(it->second) - ValueToPoly(t[i]),
-                              CmpOp::kEq) == Add::kDead) {
-              return false;
-            }
-          }
-        }
-      }
-    }
-    return true;
-  }
-
   util::Status FinishWitness() {
     ++witnesses_enumerated_;
     if (witnesses_enumerated_ > options_.max_witnesses) {
       return util::Status::ResourceExhausted(
           "witness enumeration exceeded max_witnesses");
     }
-    // Build the output tuple.
-    Tuple out;
-    out.reserve(cq_.output.size());
-    for (const logic::TypedVar& v : cq_.output) {
-      if (v.sort == Sort::kBase) {
-        std::string root = Canon(v.name);
-        auto cit = const_binding_.find(root);
-        const std::string& s =
-            cit != const_binding_.end() ? cit->second : base_env_.at(root);
-        auto it = null_names_.find(s);
-        out.push_back(it != null_names_.end() ? it->second
-                                              : Value::BaseConst(s));
-      } else {
-        out.push_back(num_env_.at(v.name));
-      }
+    size_t hash = 0;
+    for (const SlotOrConst& col : output_) {
+      hash = CombineHash(hash, Resolve(col).Hash());
     }
-    auto it = candidates_.find(out);
-    if (it == candidates_.end()) {
-      if (cq_.limit && candidate_order_.size() >= *cq_.limit) {
+    CandidateState* state = nullptr;
+    auto [lo, hi] = candidate_index_.equal_range(hash);
+    for (auto it = lo; it != hi && state == nullptr; ++it) {
+      const Tuple& out = candidates_[it->second].output;
+      bool same = true;
+      for (size_t i = 0; same && i < output_.size(); ++i) {
+        same = Resolve(output_[i]) == out[i];
+      }
+      if (same) state = &candidates_[it->second];
+    }
+    if (state == nullptr) {
+      if (cq_.limit && candidates_.size() >= *cq_.limit) {
         return util::Status::OK();  // LIMIT reached; ignore new tuples
       }
-      it = candidates_.emplace(out, CandidateState{}).first;
-      candidate_order_.push_back(out);
+      candidate_index_.emplace(hash, candidates_.size());
+      state = &candidates_.emplace_back();
+      state->output.reserve(output_.size());
+      for (const SlotOrConst& col : output_) {
+        state->output.push_back(Resolve(col));
+      }
     }
-    CandidateState& state = it->second;
-    if (state.certain) return util::Status::OK();
+    if (state->certain) return util::Status::OK();
     if (branch_atoms_.empty()) {
-      state.certain = true;
-      state.disjuncts.clear();
+      state->certain = true;
+      state->disjuncts.clear();
       return util::Status::OK();
     }
-    state.disjuncts.push_back(RealFormula::And(branch_atoms_));
+    state->disjuncts.push_back(RealFormula::And(branch_atoms_));
     return util::Status::OK();
   }
 
+  const Database& db_;
   const ConjunctiveQuery& cq_;
   ConjunctiveQuery rewritten_;
   bool impossible_ = false;
   std::unordered_map<std::string, std::string> parent_;       // union-find
   std::unordered_map<std::string, std::string> const_binding_;  // root -> const
   EvalOptions options_;
-  model::Valuation vbase_;
-  Database vdb_;
-  std::map<std::string, Value> null_names_;  // valuated name -> original ⊥
   std::unordered_map<NullId, int> z_index_;
   std::vector<NullId> null_order_;
 
   std::vector<PlannedAtom> plan_;
-  std::set<const CqComparison*> scheduled_cmp_;
-  std::set<const CqBaseEquality*> scheduled_eq_;
+  std::map<std::string, int> slots_;  // variable -> slot
+  std::vector<SlotOrConst> output_;
 
-  std::unordered_map<std::string, std::string> base_env_;
-  std::unordered_map<std::string, Value> num_env_;
-  std::vector<std::string> base_trail_;
-  std::vector<std::string> num_trail_;
+  std::vector<const Value*> env_;  // slot -> bound entry of a db_ tuple
+  std::vector<const Value*> probe_key_;
+  std::vector<double> stack_;
   std::vector<RealFormula> branch_atoms_;
 
-  std::map<Tuple, CandidateState> candidates_;
-  std::vector<Tuple> candidate_order_;
+  std::vector<CandidateState> candidates_;  // first-appearance order
+  std::unordered_multimap<size_t, size_t> candidate_index_;  // hash -> index
   size_t witnesses_enumerated_ = 0;
 };
 

@@ -2,13 +2,22 @@
 // databases — the paper's §9 pipeline (what Postgres + the "compact
 // representation of φ_{q,D,a,s}" did in the authors' prototype).
 //
-// Semantics: base nulls behave naively (a null joins only with itself,
-// Prop. 5.2's bijective valuation); numeric nulls flow through joins and
-// comparisons symbolically. Every join witness of an output tuple
-// contributes one DNF disjunct: the conjunction of the arithmetic atoms the
-// witness requires, with numeric nulls replaced by z-variables. The measure
-// of the candidate is then ν of the disjunction (Thm. 5.4), evaluated by the
-// engines in src/measure.
+// Semantics: base nulls behave naively — a null joins only with itself and
+// never with a constant, query constants included. This is what Prop. 5.2's
+// bijective base valuation buys, obtained here without copying the database:
+// base values are compared as model::Values, and an output base null comes
+// back as itself. Numeric nulls flow through joins and comparisons
+// symbolically. Every join witness of an output tuple contributes one DNF
+// disjunct: the conjunction of the arithmetic atoms the witness requires,
+// with numeric nulls replaced by z-variables (z_i is the i-th numeric null in
+// Database::CollectNumNullIds order). The measure of the candidate is then ν
+// of the disjunction (Thm. 5.4), evaluated by the engines in src/measure.
+//
+// Each query is compiled once: variables become slots pointing into the
+// database's tuples, joins probe hash indexes on the bound base columns, and
+// comparisons become postfix programs. A comparison whose variables all hold
+// constants is folded to its sign in double arithmetic with Polynomial's
+// rules; only witnesses that touch a numeric null build polynomials.
 //
 // Witnesses whose constraints force a numeric null to equal a point value
 // (z = c, z = z') span measure-zero sets; with prune_measure_zero (default)

@@ -165,6 +165,40 @@ TEST(EvalTest, BaseNullsJoinOnlyWithThemselves) {
   EXPECT_TRUE(r2->candidates[0].certain);
 }
 
+TEST(EvalTest, QueryConstantNeverJoinsBaseNull) {
+  // A base null stands for a value distinct from every constant (Prop. 5.2),
+  // including a query constant spelled like some internal name for it.
+  Database db = TinySalesDb();
+  Value seg_null = db.MakeBaseNull();
+  ASSERT_TRUE(db.Insert("P", {Value::BaseConst("p1"), seg_null,
+                              Value::NumConst(10)})
+                  .ok());
+  ASSERT_TRUE(db.Insert("M", {seg_null, Value::NumConst(30)}).ok());
+  const std::string spelled = "@null_" + std::to_string(seg_null.null_id());
+  // As an atom argument.
+  ConjunctiveQuery cq;
+  cq.atoms.push_back(CqAtom{"P", {AtomArg::BaseVar("id"),
+                                  AtomArg::BaseConst(spelled),
+                                  AtomArg::NumVar("rrp")}});
+  cq.output.push_back(TypedVar{"id", Sort::kBase});
+  auto r1 = EvaluateCq(db, cq);
+  ASSERT_TRUE(r1.ok()) << r1.status();
+  EXPECT_TRUE(r1->candidates.empty());
+  // As an equality on a joined, projected column.
+  ConjunctiveQuery joined = AdvantageQuery();
+  joined.base_equalities.push_back(CqBaseEquality{
+      logic::BaseArg::Var("seg"), logic::BaseArg::Const(spelled)});
+  joined.output = {TypedVar{"seg", Sort::kBase}};
+  auto r2 = EvaluateCq(db, joined);
+  ASSERT_TRUE(r2.ok()) << r2.status();
+  EXPECT_TRUE(r2->candidates.empty());
+  // The null itself still joins with itself.
+  auto r3 = EvaluateCq(db, AdvantageQuery());
+  ASSERT_TRUE(r3.ok()) << r3.status();
+  ASSERT_EQ(r3->candidates.size(), 1u);
+  EXPECT_TRUE(r3->candidates[0].certain);
+}
+
 TEST(EvalTest, NullOutputValueSurvivesRoundTrip) {
   // Output a base null: it should come back as the original ⊥, not as the
   // internal fresh-constant encoding.
