@@ -218,7 +218,7 @@ class Evaluator {
     if (impossible_) return result;  // contradictory constant equalities
     MUDB_RETURN_IF_ERROR(Plan());
     Compile();
-    MUDB_RETURN_IF_ERROR(Enumerate(0));
+    MUDB_RETURN_IF_ERROR(Enumerate(0, false));
     result.witnesses_enumerated = witnesses_enumerated_;
     for (CandidateState& state : candidates_) {
       Candidate c;
@@ -421,8 +421,9 @@ class Evaluator {
   }
 
   void Compile() {
-    std::set<int> bound;
-    for (PlannedAtom& p : plan_) {
+    std::map<int, size_t> bound;  // slot -> plan step that binds it
+    for (size_t depth = 0; depth < plan_.size(); ++depth) {
+      PlannedAtom& p = plan_[depth];
       const CqAtom& atom = *p.atom;
       for (size_t col : p.probe_positions) {
         const logic::BaseArg& b = atom.args[col].base();
@@ -448,7 +449,7 @@ class Evaluator {
         int slot = SlotOf(a.sort() == Sort::kBase ? a.base().text()
                                                   : a.term().var_name());
         BindOp::Kind kind = BindOp::Kind::kBind;
-        if (!bound.insert(slot).second) {
+        if (!bound.emplace(slot, depth).second) {
           kind = a.sort() == Sort::kBase ? BindOp::Kind::kCheckBase
                                          : BindOp::Kind::kNumRebind;
         }
@@ -477,6 +478,9 @@ class Evaluator {
         }
       } else {
         col.slot = slots_.at(v.name);
+      }
+      if (col.slot >= 0) {
+        output_depth_ = std::max(output_depth_, bound.at(col.slot));
       }
       output_.push_back(std::move(col));
     }
@@ -531,40 +535,47 @@ class Evaluator {
     return stack_.back();
   }
 
-  // The polynomial of a side holding at least one null: a product becomes a
-  // single monomial, whose coefficient is multiplied out in tree order (as
-  // the Polynomial products did); other shapes go through Polynomial.
+  // The coefficient of a product side, multiplied out in tree order as the
+  // Polynomial products did (a null contributes an exact factor 1.0); the
+  // z-index of every null factor is appended to `zs`.
+  double EvalProduct(const CompiledSide& side, std::vector<int>* zs) {
+    stack_.clear();
+    for (const TermOp& op : side.program) {
+      switch (op.kind) {
+        case TermOp::Kind::kSlot: {
+          const Value& v = *env_[op.slot];
+          if (v.kind() == Value::Kind::kNumConst) {
+            stack_.push_back(v.num_const());
+          } else {
+            zs->push_back(z_index_.at(v.null_id()));
+            stack_.push_back(1.0);
+          }
+          break;
+        }
+        case TermOp::Kind::kConst:
+          stack_.push_back(op.value);
+          break;
+        default: {  // kMul: a product side has no other operations
+          double b = stack_.back();
+          stack_.pop_back();
+          stack_.back() = PolyMul(stack_.back(), b);
+          break;
+        }
+      }
+    }
+    return stack_.back();
+  }
+
+  // The polynomial of a side: a product with nulls becomes a single
+  // monomial; other shapes with nulls go through Polynomial.
   Polynomial SideToPoly(const CompiledSide& side) {
     if (SideIsConstant(side)) return Polynomial::Constant(EvalConstant(side));
     if (side.product) {
-      poly::Monomial m;
-      stack_.clear();
-      for (const TermOp& op : side.program) {
-        switch (op.kind) {
-          case TermOp::Kind::kSlot: {
-            const Value& v = *env_[op.slot];
-            if (v.kind() == Value::Kind::kNumConst) {
-              stack_.push_back(v.num_const());
-              break;
-            }
-            size_t z = static_cast<size_t>(z_index_.at(v.null_id()));
-            if (m.size() <= z) m.resize(z + 1, 0);
-            ++m[z];
-            stack_.push_back(1.0);
-            break;
-          }
-          case TermOp::Kind::kConst:
-            stack_.push_back(op.value);
-            break;
-          default: {  // kMul
-            double b = stack_.back();
-            stack_.pop_back();
-            stack_.back() = PolyMul(stack_.back(), b);
-            break;
-          }
-        }
-      }
-      return Polynomial::FromMonomial(std::move(m), stack_.back());
+      lhs_zs_.clear();
+      double coeff = EvalProduct(side, &lhs_zs_);
+      poly::Monomial m(*std::max_element(lhs_zs_.begin(), lhs_zs_.end()) + 1);
+      for (int z : lhs_zs_) ++m[z];
+      return Polynomial::FromMonomial(std::move(m), coeff);
     }
     std::vector<Polynomial> stack;
     for (const TermOp& op : side.program) {
@@ -617,6 +628,48 @@ class Evaluator {
     return AddConstraint(SideToPoly(cmp.lhs) - SideToPoly(cmp.rhs), cmp.op);
   }
 
+  // Whether AddComparison would keep the branch alive, decided without
+  // building a polynomial when both sides are products: a witness whose
+  // output tuple the LIMIT drops only needs to be counted.
+  bool Survives(const CompiledComparison& cmp) {
+    if (!cmp.lhs.product || !cmp.rhs.product) {
+      size_t atom_trail = branch_atoms_.size();
+      bool alive = AddComparison(cmp) == Add::kOk;
+      branch_atoms_.resize(atom_trail);
+      return alive;
+    }
+    lhs_zs_.clear();
+    rhs_zs_.clear();
+    const double lhs = EvalProduct(cmp.lhs, &lhs_zs_);
+    const double rhs = EvalProduct(cmp.rhs, &rhs_zs_);
+    std::sort(lhs_zs_.begin(), lhs_zs_.end());
+    std::sort(rhs_zs_.begin(), rhs_zs_.end());
+    // lhs·m_l - rhs·m_r by Polynomial's rules: zero coefficients vanish,
+    // equal monomials merge.
+    double constant = 0.0;
+    bool variable = false;
+    if (lhs_zs_ == rhs_zs_) {
+      const double c = lhs - rhs;
+      if (lhs_zs_.empty()) {
+        constant = c;
+      } else {
+        variable = c != 0.0;
+      }
+    } else {
+      for (const auto& [c, zs] : {std::pair(lhs, &lhs_zs_),
+                                  std::pair(-rhs, &rhs_zs_)}) {
+        if (c == 0.0) continue;
+        if (zs->empty()) {
+          constant = c;
+        } else {
+          variable = true;
+        }
+      }
+    }
+    if (variable) return cmp.op != CmpOp::kEq || !options_.prune_measure_zero;
+    return constraints::CmpTruthFromSign(cmp.op, Sign(constant));
+  }
+
   // Binds one tuple to an atom; returns false if the branch dies.
   bool BindTuple(const PlannedAtom& p, const Tuple& t) {
     for (const BindOp& op : p.binds) {
@@ -647,9 +700,11 @@ class Evaluator {
     return true;
   }
 
-  util::Status Enumerate(size_t depth) {
+  // `dropped`: the branch's output tuple is fixed and the LIMIT drops it, so
+  // its witnesses are only counted and build no constraints.
+  util::Status Enumerate(size_t depth, bool dropped) {
     if (depth == plan_.size()) {
-      return FinishWitness();
+      return FinishWitness(dropped);
     }
     const PlannedAtom& p = plan_[depth];
     const auto& tuples = p.relation->tuples();
@@ -657,11 +712,17 @@ class Evaluator {
     auto try_tuple = [&](size_t row) -> util::Status {
       size_t atom_trail = branch_atoms_.size();
       bool ok = BindTuple(p, tuples[row]);
+      bool drop = dropped;
+      if (ok && depth == output_depth_ && LimitReached()) {
+        size_t hash;
+        drop = FindCandidate(&hash) == nullptr;
+      }
       for (size_t i = 0; ok && i < p.comparisons.size(); ++i) {
-        ok = AddComparison(p.comparisons[i]) == Add::kOk;
+        const CompiledComparison& cmp = p.comparisons[i];
+        ok = drop ? Survives(cmp) : AddComparison(cmp) == Add::kOk;
       }
       util::Status status = util::Status::OK();
-      if (ok) status = Enumerate(depth + 1);
+      if (ok) status = Enumerate(depth + 1, drop);
       branch_atoms_.resize(atom_trail);
       return status;
     };
@@ -683,28 +744,40 @@ class Evaluator {
     return util::Status::OK();
   }
 
-  util::Status FinishWitness() {
-    ++witnesses_enumerated_;
-    if (witnesses_enumerated_ > options_.max_witnesses) {
-      return util::Status::ResourceExhausted(
-          "witness enumeration exceeded max_witnesses");
-    }
-    size_t hash = 0;
+  bool LimitReached() const {
+    return cq_.limit && candidates_.size() >= *cq_.limit;
+  }
+
+  // The candidate of the current output tuple, if any; sets *hash to the
+  // tuple's hash.
+  CandidateState* FindCandidate(size_t* hash) {
+    *hash = 0;
     for (const SlotOrConst& col : output_) {
-      hash = CombineHash(hash, Resolve(col).Hash());
+      *hash = CombineHash(*hash, Resolve(col).Hash());
     }
-    CandidateState* state = nullptr;
-    auto [lo, hi] = candidate_index_.equal_range(hash);
-    for (auto it = lo; it != hi && state == nullptr; ++it) {
+    auto [lo, hi] = candidate_index_.equal_range(*hash);
+    for (auto it = lo; it != hi; ++it) {
       const Tuple& out = candidates_[it->second].output;
       bool same = true;
       for (size_t i = 0; same && i < output_.size(); ++i) {
         same = Resolve(output_[i]) == out[i];
       }
-      if (same) state = &candidates_[it->second];
+      if (same) return &candidates_[it->second];
     }
+    return nullptr;
+  }
+
+  util::Status FinishWitness(bool dropped) {
+    ++witnesses_enumerated_;
+    if (witnesses_enumerated_ > options_.max_witnesses) {
+      return util::Status::ResourceExhausted(
+          "witness enumeration exceeded max_witnesses");
+    }
+    if (dropped) return util::Status::OK();
+    size_t hash;
+    CandidateState* state = FindCandidate(&hash);
     if (state == nullptr) {
-      if (cq_.limit && candidates_.size() >= *cq_.limit) {
+      if (LimitReached()) {
         return util::Status::OK();  // LIMIT reached; ignore new tuples
       }
       candidate_index_.emplace(hash, candidates_.size());
@@ -737,10 +810,13 @@ class Evaluator {
   std::vector<PlannedAtom> plan_;
   std::map<std::string, int> slots_;  // variable -> slot
   std::vector<SlotOrConst> output_;
+  size_t output_depth_ = 0;  // the plan step that binds the last output slot
 
   std::vector<const Value*> env_;  // slot -> bound entry of a db_ tuple
   std::vector<const Value*> probe_key_;
   std::vector<double> stack_;
+  std::vector<int> lhs_zs_;  // z-indices of a product side's null factors
+  std::vector<int> rhs_zs_;
   std::vector<RealFormula> branch_atoms_;
 
   std::vector<CandidateState> candidates_;  // first-appearance order

@@ -514,6 +514,54 @@ TEST(EvalTest, MatchesDigestPinnedOnParent) {
   EXPECT_EQ(corner_fp.lo, 0x2948df1d7710cd8dull);
 }
 
+// LIMIT only cuts the candidate list: the kept candidates are the first ones
+// of the unlimited result, bit for bit, and every witness is still counted,
+// including those whose output tuple the LIMIT drops.
+TEST(EvalTest, LimitKeepsAPrefixAndCountsEveryWitness) {
+  Database db = CornerCaseDb();
+  // Makes p8 a certain answer of a * b = price, ahead of null witnesses.
+  ASSERT_TRUE(db.Insert("P", {Value::BaseConst("p8"), Value::BaseConst("s1"),
+                              Value::NumConst(2.0), Value::NumConst(0.5),
+                              Value::NumConst(1.0)})
+                  .ok());
+  const char* const kQueries[] = {
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND P.a * P.b <= M.price",
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND P.a * P.c < P.c * P.a",
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND P.a * P.b = M.price",
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND P.a * P.b = P.b * P.a",
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND "
+      "P.a * 0.0 = M.price * 0",
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND "
+      "P.b * P.a >= 0.5 * (M.price * P.c)",
+      "SELECT P.id FROM P, M WHERE P.seg = M.seg AND P.a - M.price > 0",
+      "SELECT M.seg FROM P, M WHERE P.seg = M.seg AND P.c * 2 <> M.price",
+  };
+  EvalOptions keep;
+  keep.prune_measure_zero = false;
+  for (const char* sql : kQueries) {
+    auto full_cq = sql::ParseSqlQuery(sql, db);
+    ASSERT_TRUE(full_cq.ok()) << sql << ": " << full_cq.status();
+    for (const EvalOptions& options : {EvalOptions{}, keep}) {
+      auto full = EvaluateCq(db, *full_cq, options);
+      ASSERT_TRUE(full.ok()) << full.status();
+      for (size_t limit : {1, 2}) {
+        ConjunctiveQuery limited_cq = *full_cq;
+        limited_cq.limit = limit;
+        auto limited = EvaluateCq(db, limited_cq, options);
+        ASSERT_TRUE(limited.ok()) << limited.status();
+        EvalResult prefix = *full;
+        if (prefix.candidates.size() > limit) prefix.candidates.resize(limit);
+        util::FingerprintHasher want, got;
+        AbsorbResult(&want, prefix);
+        AbsorbResult(&got, *limited);
+        EXPECT_EQ(got.Digest(), want.Digest()) << sql << " LIMIT " << limit;
+        EXPECT_EQ(limited->witnesses_enumerated, full->witnesses_enumerated)
+            << sql << " LIMIT " << limit;
+      }
+    }
+  }
+}
+
 // ---- Unions of conjunctive queries ----------------------------------------
 
 TEST(UnionTest, MergesBranchesAndOrsConstraints) {
