@@ -85,6 +85,7 @@ class ProbeIndex {
     tuples_ = &tuples;
     columns_ = std::move(columns);
     const size_t n = tuples.size();
+    MUDB_CHECK(n < kEmpty);  // row ids and group ids are 32-bit
     size_t capacity = 2;
     while (capacity < 2 * n) capacity *= 2;
     mask_ = capacity - 1;
@@ -116,14 +117,14 @@ class ProbeIndex {
       uint32_t g = row_group[t];
       rows_[groups_[g].begin + filled[g]++] = static_cast<uint32_t>(t);
     }
-    // Visiting order within a group: the order in which the evaluator's
-    // previous index, a libstdc++ std::unordered_multimap filled in row order,
-    // returned equal keys. Inserts into a table of at most 20 elements go
-    // right after the first equal key; later ones go in front of the group.
-    // So rows from the 22nd on come newest first, then the group's first row
-    // among the first 21, then the rest of those newest first. The order
-    // decides each constraint's disjunct order and which candidates a LIMIT
-    // keeps, so it is kept here, now on every platform.
+    // Within a group, rows are visited in the order this engine has always
+    // used, which its results depend on (each constraint's disjunct order,
+    // the candidates a LIMIT keeps): that of a libstdc++
+    // std::unordered_multimap filled in row order. While that table held at
+    // most 20 elements (rows 0..20) an insert went right after the first
+    // equal key; later inserts went in front of the group. So: rows from 21
+    // on newest first, then the first of rows 0..20, then the rest of those
+    // newest first. Fixed here, the order no longer depends on the library.
     constexpr uint32_t kSmallTableRows = 21;
     for (const Group& g : groups_) {
       uint32_t* first = rows_.data() + g.begin;
@@ -508,14 +509,25 @@ class Evaluator {
     return true;
   }
 
-  // Evaluates a side whose slots all hold numeric constants.
-  double EvalConstant(const CompiledSide& side) {
+  // Evaluates a side in double arithmetic with Polynomial's rules. A null
+  // counts as an exact factor 1.0 and its z-index is appended to `zs`, so
+  // for a product side the result is the coefficient of its monomial,
+  // multiplied out in tree order as the Polynomial products did. Sides with
+  // sums or negations are evaluated here only when they hold no null.
+  double EvalSide(const CompiledSide& side, std::vector<int>* zs) {
     stack_.clear();
     for (const TermOp& op : side.program) {
       switch (op.kind) {
-        case TermOp::Kind::kSlot:
-          stack_.push_back(env_[op.slot]->num_const());
+        case TermOp::Kind::kSlot: {
+          const Value& v = *env_[op.slot];
+          if (v.kind() == Value::Kind::kNumConst) {
+            stack_.push_back(v.num_const());
+          } else {
+            zs->push_back(z_index_.at(v.null_id()));
+            stack_.push_back(1.0);
+          }
           break;
+        }
         case TermOp::Kind::kConst:
           stack_.push_back(op.value);
           break;
@@ -535,47 +547,18 @@ class Evaluator {
     return stack_.back();
   }
 
-  // The coefficient of a product side, multiplied out in tree order as the
-  // Polynomial products did (a null contributes an exact factor 1.0); the
-  // z-index of every null factor is appended to `zs`.
-  double EvalProduct(const CompiledSide& side, std::vector<int>* zs) {
-    stack_.clear();
-    for (const TermOp& op : side.program) {
-      switch (op.kind) {
-        case TermOp::Kind::kSlot: {
-          const Value& v = *env_[op.slot];
-          if (v.kind() == Value::Kind::kNumConst) {
-            stack_.push_back(v.num_const());
-          } else {
-            zs->push_back(z_index_.at(v.null_id()));
-            stack_.push_back(1.0);
-          }
-          break;
-        }
-        case TermOp::Kind::kConst:
-          stack_.push_back(op.value);
-          break;
-        default: {  // kMul: a product side has no other operations
-          double b = stack_.back();
-          stack_.pop_back();
-          stack_.back() = PolyMul(stack_.back(), b);
-          break;
-        }
-      }
-    }
-    return stack_.back();
+  // The polynomial coeff · Π z over the z-indices `zs`.
+  static Polynomial ProductPoly(const std::vector<int>& zs, double coeff) {
+    if (zs.empty()) return Polynomial::Constant(coeff);
+    poly::Monomial m(*std::max_element(zs.begin(), zs.end()) + 1);
+    for (int z : zs) ++m[z];
+    return Polynomial::FromMonomial(std::move(m), coeff);
   }
 
-  // The polynomial of a side: a product with nulls becomes a single
-  // monomial; other shapes with nulls go through Polynomial.
+  // The polynomial of a side with sums or negations, read from the slots.
   Polynomial SideToPoly(const CompiledSide& side) {
-    if (SideIsConstant(side)) return Polynomial::Constant(EvalConstant(side));
-    if (side.product) {
-      lhs_zs_.clear();
-      double coeff = EvalProduct(side, &lhs_zs_);
-      poly::Monomial m(*std::max_element(lhs_zs_.begin(), lhs_zs_.end()) + 1);
-      for (int z : lhs_zs_) ++m[z];
-      return Polynomial::FromMonomial(std::move(m), coeff);
+    if (SideIsConstant(side)) {
+      return Polynomial::Constant(EvalSide(side, &lhs_zs_));
     }
     std::vector<Polynomial> stack;
     for (const TermOp& op : side.program) {
@@ -619,33 +602,32 @@ class Evaluator {
     return Add::kOk;
   }
 
-  Add AddComparison(const CompiledComparison& cmp) {
+  // Adds `lhs - rhs op 0` as AddConstraint would. With `count_only` (the
+  // LIMIT drops the branch's output tuple, so its witnesses are only
+  // counted) product comparisons build no polynomial.
+  Add AddComparison(const CompiledComparison& cmp, bool count_only) {
+    if (cmp.lhs.product && cmp.rhs.product) {
+      return AddProductComparison(cmp, count_only);
+    }
     if (SideIsConstant(cmp.lhs) && SideIsConstant(cmp.rhs)) {
-      double diff = EvalConstant(cmp.lhs) - EvalConstant(cmp.rhs);
+      double diff = EvalSide(cmp.lhs, &lhs_zs_) - EvalSide(cmp.rhs, &rhs_zs_);
       return constraints::CmpTruthFromSign(cmp.op, Sign(diff)) ? Add::kOk
                                                                : Add::kDead;
     }
     return AddConstraint(SideToPoly(cmp.lhs) - SideToPoly(cmp.rhs), cmp.op);
   }
 
-  // Whether AddComparison would keep the branch alive, decided without
-  // building a polynomial when both sides are products: a witness whose
-  // output tuple the LIMIT drops only needs to be counted.
-  bool Survives(const CompiledComparison& cmp) {
-    if (!cmp.lhs.product || !cmp.rhs.product) {
-      size_t atom_trail = branch_atoms_.size();
-      bool alive = AddComparison(cmp) == Add::kOk;
-      branch_atoms_.resize(atom_trail);
-      return alive;
-    }
+  // Two product sides: lhs·m_l - rhs·m_r is decided from the coefficients
+  // and the sorted null factors by Polynomial's rules (zero coefficients
+  // vanish, equal monomials merge); a polynomial is built only for an atom
+  // that is kept.
+  Add AddProductComparison(const CompiledComparison& cmp, bool count_only) {
     lhs_zs_.clear();
     rhs_zs_.clear();
-    const double lhs = EvalProduct(cmp.lhs, &lhs_zs_);
-    const double rhs = EvalProduct(cmp.rhs, &rhs_zs_);
+    const double lhs = EvalSide(cmp.lhs, &lhs_zs_);
+    const double rhs = EvalSide(cmp.rhs, &rhs_zs_);
     std::sort(lhs_zs_.begin(), lhs_zs_.end());
     std::sort(rhs_zs_.begin(), rhs_zs_.end());
-    // lhs·m_l - rhs·m_r by Polynomial's rules: zero coefficients vanish,
-    // equal monomials merge.
     double constant = 0.0;
     bool variable = false;
     if (lhs_zs_ == rhs_zs_) {
@@ -666,8 +648,19 @@ class Evaluator {
         }
       }
     }
-    if (variable) return cmp.op != CmpOp::kEq || !options_.prune_measure_zero;
-    return constraints::CmpTruthFromSign(cmp.op, Sign(constant));
+    if (!variable) {
+      return constraints::CmpTruthFromSign(cmp.op, Sign(constant))
+                 ? Add::kOk
+                 : Add::kDead;
+    }
+    if (cmp.op == CmpOp::kEq && options_.prune_measure_zero) {
+      return Add::kDead;  // nontrivial equality on nulls: measure zero
+    }
+    if (!count_only) {
+      branch_atoms_.push_back(RealFormula::Cmp(
+          ProductPoly(lhs_zs_, lhs) - ProductPoly(rhs_zs_, rhs), cmp.op));
+    }
+    return Add::kOk;
   }
 
   // Binds one tuple to an atom; returns false if the branch dies.
@@ -719,7 +712,7 @@ class Evaluator {
       }
       for (size_t i = 0; ok && i < p.comparisons.size(); ++i) {
         const CompiledComparison& cmp = p.comparisons[i];
-        ok = drop ? Survives(cmp) : AddComparison(cmp) == Add::kOk;
+        ok = AddComparison(cmp, drop) == Add::kOk;
       }
       util::Status status = util::Status::OK();
       if (ok) status = Enumerate(depth + 1, drop);

@@ -514,6 +514,45 @@ TEST(EvalTest, MatchesDigestPinnedOnParent) {
   EXPECT_EQ(corner_fp.lo, 0x2948df1d7710cd8dull);
 }
 
+// Comparisons between two products are decided from coefficients and null
+// factors without Polynomial arithmetic; appending "+ 0" to the right side
+// forces the Polynomial path, which must give the same bits.
+TEST(EvalTest, ProductComparisonsMatchPolynomialArithmetic) {
+  Database db = CornerCaseDb();
+  const char* const kConditions[] = {
+      "P.a * P.b <= M.price",
+      "P.a * P.b = M.price",
+      "P.a * P.b = P.b * P.a",
+      "P.b * P.c = P.c * P.b",
+      "P.b * P.c < P.c * P.b * 2",
+      "P.a * 0.0 = M.price * 0",
+      "P.b * P.a >= 0.5 * (M.price * P.c)",
+      "P.a * (P.b * P.c) * M.price < 1",
+  };
+  EvalOptions keep;
+  keep.prune_measure_zero = false;
+  for (const char* cond : kConditions) {
+    const std::string sql =
+        std::string("SELECT P.id, M.seg FROM P, M WHERE P.seg = M.seg AND ") +
+        cond;
+    auto product = sql::ParseSqlQuery(sql, db);
+    auto general = sql::ParseSqlQuery(sql + " + 0", db);
+    ASSERT_TRUE(product.ok()) << sql << ": " << product.status();
+    ASSERT_TRUE(general.ok()) << sql << ": " << general.status();
+    for (const EvalOptions& options : {EvalOptions{}, keep}) {
+      auto want = EvaluateCq(db, *general, options);
+      auto got = EvaluateCq(db, *product, options);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ASSERT_TRUE(got.ok()) << got.status();
+      util::FingerprintHasher want_hash, got_hash;
+      AbsorbResult(&want_hash, *want);
+      AbsorbResult(&got_hash, *got);
+      EXPECT_EQ(got_hash.Digest(), want_hash.Digest())
+          << cond << (options.prune_measure_zero ? "" : " (kept)");
+    }
+  }
+}
+
 // LIMIT only cuts the candidate list: the kept candidates are the first ones
 // of the unlimited result, bit for bit, and every witness is still counted,
 // including those whose output tuple the LIMIT drops.
