@@ -386,9 +386,7 @@ class Evaluator {
   // to a fixed list of steps per atom and needs no undo trail.
 
   int SlotOf(const std::string& var) {
-    auto [it, inserted] =
-        slots_.emplace(var, static_cast<int>(slots_.size()));
-    return it->second;
+    return slots_.emplace(var, static_cast<int>(slots_.size())).first->second;
   }
 
   void CompileTerm(const Term& t, CompiledSide* side) {
