@@ -44,7 +44,6 @@ struct TermOp {
 
 struct CompiledSide {
   std::vector<TermOp> program;  // postfix, children left to right
-  std::vector<int> slots;       // slots the program reads
   /// Only variables, constants and products: with nulls, one monomial.
   bool product = true;
 };
@@ -394,7 +393,6 @@ class Evaluator {
       case Term::Kind::kVar: {
         int slot = slots_.at(t.var_name());
         side->program.push_back({TermOp::Kind::kSlot, slot, 0.0});
-        side->slots.push_back(slot);
         return;
       }
       case Term::Kind::kConst:
@@ -500,18 +498,10 @@ class Evaluator {
     return Polynomial::Variable(z_index_.at(v.null_id()));
   }
 
-  bool SideIsConstant(const CompiledSide& side) const {
-    for (int slot : side.slots) {
-      if (env_[slot]->kind() != Value::Kind::kNumConst) return false;
-    }
-    return true;
-  }
-
-  // Evaluates a side in double arithmetic with Polynomial's rules. A null
-  // counts as an exact factor 1.0 and its z-index is appended to `zs`, so
-  // for a product side the result is the coefficient of its monomial,
-  // multiplied out in tree order as the Polynomial products did. Sides with
-  // sums or negations are evaluated here only when they hold no null.
+  // Evaluates a product side in double arithmetic with Polynomial's rules.
+  // A null counts as an exact factor 1.0 and its z-index is appended to
+  // `zs`, so the result is the coefficient of the side's monomial,
+  // multiplied out in tree order as the Polynomial products did.
   double EvalSide(const CompiledSide& side, std::vector<int>* zs) {
     stack_.clear();
     for (const TermOp& op : side.program) {
@@ -529,17 +519,15 @@ class Evaluator {
         case TermOp::Kind::kConst:
           stack_.push_back(op.value);
           break;
-        case TermOp::Kind::kAdd:
         case TermOp::Kind::kMul: {
           double b = stack_.back();
           stack_.pop_back();
-          double& a = stack_.back();
-          a = op.kind == TermOp::Kind::kAdd ? a + b : PolyMul(a, b);
+          stack_.back() = PolyMul(stack_.back(), b);
           break;
         }
+        case TermOp::Kind::kAdd:
         case TermOp::Kind::kNeg:
-          stack_.back() = -stack_.back();
-          break;
+          MUDB_CHECK(false);  // not a product side
       }
     }
     return stack_.back();
@@ -555,9 +543,6 @@ class Evaluator {
 
   // The polynomial of a side with sums or negations, read from the slots.
   Polynomial SideToPoly(const CompiledSide& side) {
-    if (SideIsConstant(side)) {
-      return Polynomial::Constant(EvalSide(side, &lhs_zs_));
-    }
     std::vector<Polynomial> stack;
     for (const TermOp& op : side.program) {
       switch (op.kind) {
@@ -606,11 +591,6 @@ class Evaluator {
   Add AddComparison(const CompiledComparison& cmp, bool count_only) {
     if (cmp.lhs.product && cmp.rhs.product) {
       return AddProductComparison(cmp, count_only);
-    }
-    if (SideIsConstant(cmp.lhs) && SideIsConstant(cmp.rhs)) {
-      double diff = EvalSide(cmp.lhs, &lhs_zs_) - EvalSide(cmp.rhs, &rhs_zs_);
-      return constraints::CmpTruthFromSign(cmp.op, Sign(diff)) ? Add::kOk
-                                                               : Add::kDead;
     }
     return AddConstraint(SideToPoly(cmp.lhs) - SideToPoly(cmp.rhs), cmp.op);
   }
