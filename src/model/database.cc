@@ -134,14 +134,19 @@ Database Valuation::Apply(const Database& db) const {
 
 Valuation MakeBijectiveBaseValuation(
     const Database& db, const std::string& prefix,
-    const std::vector<NullId>& extra_base_ids) {
-  // Ensure the range is disjoint from C_base(D): extend the prefix until no
-  // base constant in the database starts with it.
+    const std::vector<NullId>& extra_base_ids,
+    const std::vector<std::string>& extra_constants) {
+  // Ensure the range is disjoint from C_base(D) and `extra_constants`:
+  // extend the prefix until none of those constants starts with it.
   std::string safe_prefix = prefix;
   bool collision = true;
   while (collision) {
     collision = false;
+    for (const std::string& c : extra_constants) {
+      if (c.rfind(safe_prefix, 0) == 0) collision = true;
+    }
     for (const auto& [name, rel] : db.relations()) {
+      if (collision) break;
       for (const Tuple& t : rel.tuples()) {
         for (const Value& v : t) {
           if (v.kind() == Value::Kind::kBaseConst &&
@@ -150,7 +155,6 @@ Valuation MakeBijectiveBaseValuation(
           }
         }
       }
-      if (collision) break;
     }
     if (collision) safe_prefix += "_";
   }

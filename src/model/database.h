@@ -111,13 +111,15 @@ class Valuation {
 
 /// A bijective base valuation w.r.t. a database (Prop. 5.2): maps each base
 /// null ⊥_i to the fresh constant "<prefix><i>", distinct from every base
-/// constant in D and from each other. Under such a valuation μ is unchanged,
-/// which lets every engine ignore base nulls. `extra_base_ids` adds mappings
-/// for base nulls outside the database (e.g. in a candidate tuple, which the
-/// permissive semantics of [28] allows).
+/// constant in D, from every constant in `extra_constants` (those of a query
+/// and its candidate tuple) and from each other. Under such a valuation μ is
+/// unchanged, which lets every engine ignore base nulls. `extra_base_ids`
+/// adds mappings for base nulls outside the database (e.g. in a candidate
+/// tuple, which the permissive semantics of [28] allows).
 Valuation MakeBijectiveBaseValuation(
     const Database& db, const std::string& prefix = "@null_",
-    const std::vector<NullId>& extra_base_ids = {});
+    const std::vector<NullId>& extra_base_ids = {},
+    const std::vector<std::string>& extra_constants = {});
 
 }  // namespace mudb::model
 

@@ -270,6 +270,21 @@ class Grounder {
   std::set<NullId> seen_num_null_;
 };
 
+// Appends the base constants written in `f` to `out`.
+void CollectBaseConstants(const Formula& f, std::vector<std::string>* out) {
+  for (const AtomArg& a : f.args()) {
+    if (a.sort() == Sort::kBase && !a.base().is_var()) {
+      out->push_back(a.base().text());
+    }
+  }
+  if (f.kind() == Formula::Kind::kBaseEq) {
+    for (const BaseArg* b : {&f.base_lhs(), &f.base_rhs()}) {
+      if (!b->is_var()) out->push_back(b->text());
+    }
+  }
+  for (const Formula& child : f.children()) CollectBaseConstants(child, out);
+}
+
 }  // namespace
 
 util::StatusOr<GroundResult> GroundQuery(const logic::Query& q,
@@ -296,15 +311,20 @@ util::StatusOr<GroundResult> GroundQuery(const logic::Query& q,
   // Step 1 (Prop. 5.2): eliminate base nulls with a bijective valuation,
   // applied consistently to the database and the candidate tuple (whose base
   // nulls may be outside the database under the permissive semantics of
-  // [28]).
+  // [28]). The fresh constants avoid the query's and the candidate's
+  // constants too, so no constant ever equals a base null.
   std::vector<model::NullId> extra_base_ids;
+  std::vector<std::string> constants;
+  CollectBaseConstants(q.formula, &constants);
   for (const model::Value& v : candidate) {
     if (v.kind() == model::Value::Kind::kBaseNull) {
       extra_base_ids.push_back(v.null_id());
+    } else if (v.kind() == model::Value::Kind::kBaseConst) {
+      constants.push_back(v.base_const());
     }
   }
-  model::Valuation vbase =
-      model::MakeBijectiveBaseValuation(db, "@null_", extra_base_ids);
+  model::Valuation vbase = model::MakeBijectiveBaseValuation(
+      db, "@null_", extra_base_ids, constants);
   model::Database complete_base = vbase.Apply(db);
   model::Tuple cand;
   cand.reserve(candidate.size());

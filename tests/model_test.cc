@@ -223,5 +223,20 @@ TEST(BijectiveValuationTest, AvoidsPrefixCollisions) {
   EXPECT_NE(v.base_map().at(n.null_id()), "@null_0");
 }
 
+TEST(BijectiveValuationTest, AvoidsExtraConstants) {
+  // Constants from outside the database (a query's, a candidate's) are
+  // avoided as well.
+  Database db;
+  ASSERT_TRUE(
+      db.CreateRelation(RelationSchema("R", {{"a", Sort::kBase}})).ok());
+  Value n = db.MakeBaseNull();
+  ASSERT_TRUE(db.Insert("R", {n}).ok());
+  const std::string spelled = "@null_" + std::to_string(n.null_id());
+  EXPECT_EQ(MakeBijectiveBaseValuation(db).base_map().at(n.null_id()),
+            spelled);
+  Valuation v = MakeBijectiveBaseValuation(db, "@null_", {}, {spelled});
+  EXPECT_NE(v.base_map().at(n.null_id()), spelled);
+}
+
 }  // namespace
 }  // namespace mudb::model

@@ -77,6 +77,48 @@ TEST(GroundTest, CandidateWithBaseNull) {
   EXPECT_EQ(g2->formula.kind(), RealFormula::Kind::kFalse);
 }
 
+TEST(GroundTest, QueryConstantNeverEqualsBaseNull) {
+  // A base null stands for a value distinct from every constant (Prop. 5.2),
+  // including a query or candidate constant spelled like the fresh name the
+  // grounding gives it. The same rule as EvalTest's twin for EvaluateCq.
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"a", Sort::kBase}}))
+                  .ok());
+  Value bot = db.MakeBaseNull();
+  ASSERT_TRUE(db.Insert("R", {bot}).ok());
+  const std::string spelled = "@null_" + std::to_string(bot.null_id());
+  // As an atom argument of a Boolean query.
+  auto q_atom =
+      Query::Make(Formula::Rel("R", {AtomArg::BaseConst(spelled)}), db);
+  ASSERT_TRUE(q_atom.ok());
+  auto g_atom = GroundQuery(*q_atom, db, {});
+  ASSERT_TRUE(g_atom.ok()) << g_atom.status();
+  EXPECT_EQ(g_atom->formula.kind(), RealFormula::Kind::kFalse);
+  // As one side of a base equality.
+  Formula eq = Formula::Exists(
+      TypedVar{"a", Sort::kBase}, Formula::And([&] {
+        std::vector<Formula> v;
+        v.push_back(Formula::Rel("R", {AtomArg::BaseVar("a")}));
+        v.push_back(Formula::BaseEq(logic::BaseArg::Var("a"),
+                                    logic::BaseArg::Const(spelled)));
+        return v;
+      }()));
+  auto q_eq = Query::Make(eq, db);
+  ASSERT_TRUE(q_eq.ok());
+  auto g_eq = GroundQuery(*q_eq, db, {});
+  ASSERT_TRUE(g_eq.ok()) << g_eq.status();
+  EXPECT_EQ(g_eq->formula.kind(), RealFormula::Kind::kFalse);
+  // As a candidate value; the null itself is still certain.
+  auto q = Query::Make(Formula::Rel("R", {AtomArg::BaseVar("a")}), db);
+  ASSERT_TRUE(q.ok());
+  auto g_const = GroundQuery(*q, db, {Value::BaseConst(spelled)});
+  ASSERT_TRUE(g_const.ok()) << g_const.status();
+  EXPECT_EQ(g_const->formula.kind(), RealFormula::Kind::kFalse);
+  auto g_null = GroundQuery(*q, db, {bot});
+  ASSERT_TRUE(g_null.ok()) << g_null.status();
+  EXPECT_EQ(g_null->formula.kind(), RealFormula::Kind::kTrue);
+}
+
 TEST(GroundTest, NumericConstantCandidate) {
   // R(num) = {(5)}. q(y) = R(y). Candidate 5 certain, 6 false, ⊤ gives z = 5
   // (measure zero but satisfiable).
