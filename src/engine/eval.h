@@ -15,9 +15,11 @@
 //
 // Each query is compiled once: variables become slots pointing into the
 // database's tuples, joins probe hash indexes on the bound base columns, and
-// comparisons become postfix programs. A comparison whose variables all hold
-// constants is folded to its sign in double arithmetic with Polynomial's
-// rules; only witnesses that touch a numeric null build polynomials.
+// comparisons become postfix programs. A comparison of two products
+// (variables, constants and ·, like the Figure 1 queries) is decided from its
+// coefficients in double arithmetic with Polynomial's rules, so it folds to a
+// sign when constant and builds a polynomial only for a kept atom on nulls.
+// Sides with sums or negations build polynomials, folded when constant.
 //
 // Witnesses whose constraints force a numeric null to equal a point value
 // (z = c, z = z') span measure-zero sets; with prune_measure_zero (default)
