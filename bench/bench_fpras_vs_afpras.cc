@@ -5,7 +5,7 @@
 // accuracy on random cone DNFs of growing dimension, against exact ground
 // truth in 2-D (arc measure) and high-precision sampling otherwise.
 //
-// The threads axis sweeps the FPRAS over num_threads ∈ {1, 2, 4} and checks
+// The threads axis sweeps the FPRAS over pools of {1, 2, 4} threads and checks
 // the parallel-runtime contract: wall-clock drops with more workers (on
 // hardware that has them) while the estimate stays bit-identical.
 //
@@ -28,6 +28,7 @@
 #include "src/measure/fpras.h"
 #include "src/measure/nu_exact.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -172,9 +173,10 @@ int main(int argc, char** argv) {
     bool deterministic = true;
     const int thread_axis[3] = {1, 2, 4};
     for (int t = 0; t < 3; ++t) {
+      util::ThreadPool pool(thread_axis[t]);
       measure::FprasOptions fopts;
       fopts.epsilon = 0.1;
-      fopts.num_threads = thread_axis[t];
+      fopts.pool = &pool;
       util::Rng frng(n);
       const std::clock_t cpu_start = std::clock();
       util::WallTimer ftimer;

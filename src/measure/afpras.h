@@ -33,14 +33,11 @@ struct AfprasOptions {
   bool restrict_to_used_vars = true;
   /// Absolute tolerance when deciding whether a restricted coefficient is 0.
   double coefficient_tolerance = 1e-12;
-  /// Worker threads for the sampling loop; 0 or negative = all hardware
-  /// threads. The estimate is bit-identical for any value given the same
-  /// seed: samples are carved into fixed-size chunks, chunk c drawing from
-  /// the substream Rng::Split(c) (see util/parallel.h).
-  int num_threads = 1;
-  /// Optional long-lived pool; when set it is used as-is (num_threads only
-  /// sizes per-call pools) so hot loops over many estimates skip the
-  /// per-call worker spawn. Not owned; one submitter at a time.
+  /// Pool for the sampling loop; null runs it inline. The estimate is
+  /// bit-identical for any pool size given the same seed: samples are
+  /// carved into fixed-size chunks, chunk c drawing from the substream
+  /// Rng::Split(c) (see util/parallel.h). Not owned; one submitter at a
+  /// time.
   util::ThreadPool* pool = nullptr;
 };
 

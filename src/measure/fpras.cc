@@ -60,15 +60,6 @@ bool DisjunctToHalfspaces(const Conjunction& conj, int dim,
   return true;
 }
 
-// The caller's long-lived pool when provided, else a per-call pool parked in
-// `local` (ThreadPool(1) is free, so this is cheap on the default path).
-util::ThreadPool* EnsurePool(const FprasOptions& options,
-                             std::optional<util::ThreadPool>* local) {
-  if (options.pool != nullptr) return options.pool;
-  local->emplace(util::ThreadPool::ResolveThreadCount(options.num_threads));
-  return &**local;
-}
-
 }  // namespace
 
 util::StatusOr<FprasBodySet> BuildFprasBodies(
@@ -127,8 +118,6 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
 
   // ... then dispatch the inner-ball LPs as independent tasks and assemble
   // the surviving bodies in cone order.
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = EnsurePool(options, &local_pool);
   // Chunked so each task reuses one InnerBallFinder (LP tableau scratch and
   // the shared box/margin rows) across its cones. The grid is a function of
   // the cone count alone and each cone's result depends only on that cone,
@@ -137,7 +126,7 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
   const int num_cones = static_cast<int>(cones.size());
   const int lp_chunks = std::min(num_cones, 64);
   if (lp_chunks > 0) {
-    pool->ParallelFor(lp_chunks, [&](int64_t c) {
+    util::ThreadPool::RunGrid(options.pool, lp_chunks, [&](int64_t c) {
       convex::InnerBallFinder finder(dim, 1.0);
       for (int i = static_cast<int>(c); i < num_cones; i += lp_chunks) {
         inners[i] = finder.Find(cones[i]);
@@ -189,13 +178,11 @@ util::StatusOr<FprasResult> FprasFromBodies(const FprasBodySet& body_set,
     span.Annotate("bodies", static_cast<double>(body_set.bodies.size()));
     span.Annotate("epsilon", options.epsilon);
   }
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = EnsurePool(options, &local_pool);
   volume::UnionVolumeOptions uopts;
   uopts.epsilon = options.epsilon;
   uopts.body_volume.epsilon = options.epsilon;
-  uopts.pool = pool;
-  uopts.body_volume.pool = pool;
+  uopts.pool = options.pool;
+  uopts.body_volume.pool = options.pool;
   uopts.body_cache = options.body_cache;
   MUDB_ASSIGN_OR_RETURN(
       volume::UnionVolumeResult uv,
@@ -222,13 +209,8 @@ util::StatusOr<FprasResult> FprasFromBodies(const FprasBodySet& body_set,
 util::StatusOr<FprasResult> FprasConjunctive(
     const constraints::RealFormula& formula, const FprasOptions& options,
     util::Rng& rng) {
-  // One pool serves both halves (the halves each spawn their own only when
-  // called standalone without one).
-  std::optional<util::ThreadPool> local_pool;
-  FprasOptions opts = options;
-  opts.pool = EnsurePool(options, &local_pool);
-  MUDB_ASSIGN_OR_RETURN(FprasBodySet set, BuildFprasBodies(formula, opts));
-  return FprasFromBodies(set, opts, rng);
+  MUDB_ASSIGN_OR_RETURN(FprasBodySet set, BuildFprasBodies(formula, options));
+  return FprasFromBodies(set, options, rng);
 }
 
 }  // namespace mudb::measure

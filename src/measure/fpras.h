@@ -48,15 +48,11 @@ struct FprasOptions {
   size_t max_disjuncts = 4096;
   /// As in AfprasOptions: compact away unused variables first.
   bool restrict_to_used_vars = true;
-  /// Worker threads for the sampling pipeline (per-cone LPs, annealing
-  /// phases, the Karp–Luby loop); 0 or negative = all hardware threads.
-  /// The estimate is bit-identical for any value given the same seed: work
-  /// is carved into a grid of RNG substreams independent of the thread
-  /// count (see util/thread_pool.h).
-  int num_threads = 1;
-  /// Optional long-lived pool; when set it is used as-is (num_threads only
-  /// sizes per-call pools) so hot loops over many estimates skip the
-  /// per-call worker spawn. Not owned; one submitter at a time.
+  /// Pool for the sampling pipeline (per-cone LPs, annealing phases, the
+  /// Karp–Luby loop); null runs it inline. The estimate is bit-identical
+  /// for any pool size given the same seed: work is carved into a grid of
+  /// RNG substreams independent of the thread count (see
+  /// util/thread_pool.h). Not owned; one submitter at a time.
   util::ThreadPool* pool = nullptr;
   /// Optional cross-request cache of per-body volume estimates (not owned,
   /// must be thread-safe). Hits skip a body's sampling entirely and are

@@ -1,5 +1,7 @@
 #include "src/measure/measure.h"
 
+#include <optional>
+
 #include "src/measure/nu_exact.h"
 #include "src/measure/oracle.h"
 #include "src/obs/trace.h"
@@ -38,14 +40,26 @@ MeasureResult ExactConstantResult(double value, Method method) {
   return r;
 }
 
+// Resolves num_threads to a pool once, here at the API boundary: the
+// estimators take a pool (or run inline), never a thread count. A pool made
+// for this call lives in `local`; none is made when one thread suffices.
+util::ThreadPool* ResolvePool(const MeasureOptions& options,
+                              std::optional<util::ThreadPool>* local) {
+  if (options.pool != nullptr) return options.pool;
+  const int threads = util::ThreadPool::ResolveThreadCount(options.num_threads);
+  if (threads <= 1) return nullptr;
+  local->emplace(threads);
+  return &**local;
+}
+
 util::StatusOr<MeasureResult> RunAfpras(const RealFormula& formula,
                                         const MeasureOptions& options) {
+  std::optional<util::ThreadPool> local_pool;
   AfprasOptions aopts;
   aopts.epsilon = options.epsilon;
   aopts.delta = options.delta;
   aopts.restrict_to_used_vars = options.restrict_to_used_vars;
-  aopts.num_threads = options.num_threads;
-  aopts.pool = options.pool;
+  aopts.pool = ResolvePool(options, &local_pool);
   util::Rng rng(options.seed);
   MUDB_ASSIGN_OR_RETURN(AfprasResult ar, Afpras(formula, aopts, rng));
   MeasureResult r;
@@ -62,12 +76,12 @@ util::StatusOr<MeasureResult> RunAfpras(const RealFormula& formula,
 
 util::StatusOr<MeasureResult> RunFpras(const RealFormula& formula,
                                        const MeasureOptions& options) {
+  std::optional<util::ThreadPool> local_pool;
   FprasOptions fopts;
   fopts.epsilon = options.epsilon;
   fopts.max_disjuncts = options.max_dnf_disjuncts;
   fopts.restrict_to_used_vars = options.restrict_to_used_vars;
-  fopts.num_threads = options.num_threads;
-  fopts.pool = options.pool;
+  fopts.pool = ResolvePool(options, &local_pool);
   fopts.body_cache = options.body_cache;
   util::Rng rng(options.seed);
   MUDB_ASSIGN_OR_RETURN(FprasResult fr, FprasConjunctive(formula, fopts, rng));
@@ -212,12 +226,12 @@ util::StatusOr<MeasureResult> ComputeConditionalMeasure(
     auto it = ranges.find(ground.null_order[i]);
     var_ranges[i] = it != ranges.end() ? it->second : VarRange::Free();
   }
+  std::optional<util::ThreadPool> local_pool;
   AfprasOptions aopts;
   aopts.epsilon = options.epsilon;
   aopts.delta = options.delta;
   aopts.restrict_to_used_vars = options.restrict_to_used_vars;
-  aopts.num_threads = options.num_threads;
-  aopts.pool = options.pool;
+  aopts.pool = ResolvePool(options, &local_pool);
   util::Rng rng(options.seed);
   MUDB_ASSIGN_OR_RETURN(
       AfprasResult ar,

@@ -87,11 +87,13 @@ struct MeasureOptions {
   size_t max_ground_atoms = 2'000'000;
   /// Worker threads for the randomized engines (AFPRAS, conditional AFPRAS,
   /// FPRAS); 0 or negative = all hardware threads. Estimates are
-  /// bit-identical for any value given the same seed.
+  /// bit-identical for any value given the same seed. Without `pool`, a
+  /// value above 1 makes one pool per call, for the sampled engine.
   int num_threads = 1;
   /// Optional long-lived pool for per-candidate loops: when set, the
-  /// engines use it as-is instead of spawning workers per call. Not owned;
-  /// one submitter at a time (share across sequential calls only).
+  /// engines use it as-is (num_threads is then ignored) instead of making
+  /// a pool per call. Not owned; one submitter at a time (share across
+  /// sequential calls only).
   util::ThreadPool* pool = nullptr;
   /// Optional cross-call cache of per-body volume estimates for the FPRAS
   /// path (not owned, must be thread-safe; see volume/union_volume.h and

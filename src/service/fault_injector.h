@@ -15,13 +15,13 @@
 //     cleared — the "shard crashed / shard rebooted" story.
 //
 // What fault injection can never do: change result bits. Faults live
-// entirely outside the shard workers, so a request that ultimately succeeds
+// entirely outside the shard services, so a request that ultimately succeeds
 // (directly, after retries, or via degradation) returns the same bitwise
 // result as a run with no faults at all — the chaos test
 // (sharded_service_test.cc) hard-asserts this across schedules.
 //
 // Thread-safety: per-shard state under a per-shard mutex; safe for
-// concurrent Decide calls from any number of router workers. With
+// concurrent Decide calls from any number of router threads. With
 // concurrent callers the assignment of schedule positions to requests
 // follows arrival order at the shard — the schedule itself stays fixed.
 

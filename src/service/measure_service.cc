@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/obs/metrics.h"
+#include "src/service/ranking_session.h"
 #include "src/service/service_errors.h"
 #include "src/translate/ground.h"
 #include "src/util/timer.h"
@@ -11,6 +12,11 @@
 namespace mudb::service {
 
 namespace {
+
+/// Entries each cache holds (the body cache and the result memo), and the
+/// lock shards each is split into.
+constexpr size_t kCacheCapacity = 4096;
+constexpr int kCacheShards = 8;
 
 /// Short hex prefix of a request signature for span annotations — enough
 /// to correlate spans with cache keys, without dumping 128-bit keys.
@@ -25,63 +31,18 @@ std::string KeyPrefix(const convex::CanonicalBodyKey& key) {
 
 MeasureService::MeasureService(const ServiceOptions& options)
     : options_(options),
-      pool_(options.pool),
-      body_cache_(EstimateCache::Options{options.body_cache_capacity,
-                                         options.cache_shards}),
-      result_cache_(options.result_cache_capacity, options.cache_shards) {
+      pool_(util::ThreadPool::ResolveThreadCount(options.num_threads)),
+      body_cache_(EstimateCache::Options{kCacheCapacity, kCacheShards}),
+      result_cache_(kCacheCapacity, kCacheShards) {
   // Mirror the result-memo counters into the registry ("service.cache.*";
   // the body cache publishes "service.body_cache.*" from its own ctor).
   result_cache_.PublishMetrics("service.cache");
-  if (pool_ == nullptr) {
-    owned_pool_ = std::make_unique<util::ThreadPool>(
-        util::ThreadPool::ResolveThreadCount(options.num_threads));
-    pool_ = owned_pool_.get();
-  }
-  // mudb-lint: allow(no-raw-thread) -- the documented dispatcher site:
-  // one long-lived control thread that only moves requests between
-  // queues; all sampling work runs on the util::ThreadPool.
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
-MeasureService::~MeasureService() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  dispatcher_.join();
-}
-
-MeasureService::Ticket MeasureService::Submit(MeasureRequest request) {
-  Job job;
-  job.request = std::move(request);
-  job.ctx = obs::CurrentContext();
-  Ticket ticket = job.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-  return ticket;
-}
-
-void MeasureService::DispatcherLoop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Drain the queue even when stopping: every submitted promise is
-      // fulfilled before the destructor returns.
-      if (queue_.empty()) return;
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    // Adopt the submitter's context so per-request spans parent under the
-    // batch/tier span that submitted them, across the dispatcher hop.
-    obs::ScopedContext adopt(job.ctx);
-    job.promise.set_value(Process(job.request));
-  }
+util::StatusOr<measure::MeasureResult> MeasureService::Run(
+    const MeasureRequest& request) {
+  std::lock_guard<std::mutex> lock(run_mu_);
+  return Process(request);
 }
 
 util::Status MeasureService::Attribute(util::Status status) const {
@@ -94,7 +55,7 @@ util::Status MeasureService::Attribute(util::Status status) const {
 }
 
 util::StatusOr<measure::MeasureResult> MeasureService::Process(
-    MeasureRequest& request) {
+    const MeasureRequest& request) {
   static obs::Counter* const m_requests =
       obs::MetricsRegistry::Global().counter("service.requests");
   static obs::Counter* const m_steps =
@@ -159,7 +120,7 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
   // Execute with the service's pool and body cache plugged in (caller
   // overrides win: a request carrying its own pool/cache keeps it).
   measure::MeasureOptions opts = request.options;
-  if (opts.pool == nullptr) opts.pool = pool_;
+  if (opts.pool == nullptr) opts.pool = &pool_;
   if (opts.body_cache == nullptr) opts.body_cache = &body_cache_;
   util::StatusOr<measure::MeasureResult> result =
       ComputeNu(*formula, opts);
@@ -170,19 +131,17 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
     return AnnotateRequestError(result.status(), signature,
                                 options_.shard_id);
   }
-  if (result.ok()) {
-    total_body_cache_hits_.fetch_add(result->body_cache_hits,
-                                     std::memory_order_relaxed);
-    total_bodies_.fetch_add(result->bodies, std::memory_order_relaxed);
-    total_unique_bodies_.fetch_add(result->unique_bodies,
+  total_body_cache_hits_.fetch_add(result->body_cache_hits,
                                    std::memory_order_relaxed);
-    total_sampling_steps_.fetch_add(result->sampling_steps,
-                                    std::memory_order_relaxed);
-    total_samples_.fetch_add(result->samples, std::memory_order_relaxed);
-    m_steps->Inc(result->sampling_steps);
-    m_samples->Inc(result->samples);
-    result_cache_.Insert(signature, MemoEntry{*result});
-  }
+  total_bodies_.fetch_add(result->bodies, std::memory_order_relaxed);
+  total_unique_bodies_.fetch_add(result->unique_bodies,
+                                 std::memory_order_relaxed);
+  total_sampling_steps_.fetch_add(result->sampling_steps,
+                                  std::memory_order_relaxed);
+  total_samples_.fetch_add(result->samples, std::memory_order_relaxed);
+  m_steps->Inc(result->sampling_steps);
+  m_samples->Inc(result->samples);
+  result_cache_.Insert(signature, MemoEntry{*result});
   m_request_ms->Observe(
       obs::Clock::NanosToMillis(obs::Clock::NowNanos() - t0));
   return result;
@@ -198,15 +157,10 @@ MeasureService::BatchOutcome MeasureService::RunBatch(
   }
   util::WallTimer timer;
   BatchStats before = lifetime_stats();
-  std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  for (MeasureRequest& request : requests) {
-    tickets.push_back(Submit(std::move(request)));
-  }
   BatchOutcome outcome;
-  outcome.results.reserve(tickets.size());
-  for (Ticket& ticket : tickets) {
-    outcome.results.push_back(ticket.get());
+  outcome.results.reserve(requests.size());
+  for (const MeasureRequest& request : requests) {
+    outcome.results.push_back(Run(request));
   }
   BatchStats after = lifetime_stats();
   outcome.stats.requests = after.requests - before.requests;
@@ -228,6 +182,36 @@ MeasureService::BatchOutcome MeasureService::RunBatch(
                   static_cast<double>(outcome.stats.sampling_steps));
   }
   m_batch_ms->Observe(outcome.stats.wall_ms);
+  return outcome;
+}
+
+util::StatusOr<RankingOutcome> MeasureService::RunTopK(
+    std::vector<MeasureRequest> candidates, const RankingOptions& options) {
+  // A one-shot ranking IS a fresh session fed one all-inserts delta: ids
+  // are assigned densely in input order, so id == input index. Rerank
+  // validates options and candidates before executing anything.
+  RankingSession session(this, options);
+  RankingDelta delta;
+  delta.inserts = std::move(candidates);
+  MUDB_ASSIGN_OR_RETURN(RerankOutcome rerank,
+                        session.Rerank(std::move(delta)));
+
+  RankingOutcome outcome;
+  outcome.candidates.reserve(rerank.candidates.size());
+  for (SessionCandidate& cand : rerank.candidates) {
+    RankedCandidate ranked;
+    ranked.index = static_cast<size_t>(cand.id);
+    ranked.result = std::move(cand.result);
+    ranked.pruned = cand.pruned;
+    outcome.candidates.push_back(std::move(ranked));
+  }
+  outcome.top_k.reserve(rerank.top_k.size());
+  for (CandidateId id : rerank.top_k) {
+    outcome.top_k.push_back(static_cast<size_t>(id));
+  }
+  outcome.tier_stats = std::move(rerank.tier_stats);
+  outcome.total_sampling_steps = rerank.total_sampling_steps;
+  outcome.trace_id = rerank.trace_id;
   return outcome;
 }
 

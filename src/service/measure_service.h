@@ -11,41 +11,36 @@
 //     (ε tier, seed path), then every later occurrence is a cache hit;
 //   * whole results are memoized by request signature (request_key.h), so a
 //     repeated candidate skips sampling entirely;
-//   * requests are accepted asynchronously (Submit returns a future-style
-//     Ticket; Wait blocks for one result) and executed by a dispatcher
-//     thread that runs each request's estimator on the shared
-//     util::ThreadPool — the same parallel sampling runtime the direct API
-//     uses.
+//   * requests run synchronously on the caller's thread (Run, RunBatch),
+//     one at a time per service, and each request's estimator samples on
+//     the service's util::ThreadPool — the same parallel sampling runtime
+//     the direct API uses.
 //
 // Determinism contract: a batch of N requests returns results bit-identical
 // to N sequential ComputeNu / ComputeMeasure calls with the same per-request
-// options, for any thread count, any submission order, any batch
-// composition, and any cache state. This holds because every cached value
-// is a pure function of its key (see estimate_cache.h) and requests are
-// mutually independent. `service_test.cc` locks the contract in.
+// options, for any thread count, any request order, any batch composition,
+// any number of concurrent callers, and any cache state. This holds
+// because every cached value is a pure function of its key (see
+// estimate_cache.h) and requests are mutually independent.
+// `service_test.cc` locks the contract in.
 //
 // Lifetimes: query-path requests borrow the Query/Database; keep them alive
 // until the request's result is returned. The service owns its caches and
-// (unless given an external one) its thread pool.
+// its thread pool.
 
 #ifndef MUDB_SRC_SERVICE_MEASURE_SERVICE_H_
 #define MUDB_SRC_SERVICE_MEASURE_SERVICE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "src/constraints/real_formula.h"
 #include "src/logic/formula.h"
 #include "src/measure/measure.h"
 #include "src/model/database.h"
-#include "src/obs/trace.h"
 #include "src/service/estimate_cache.h"
 #include "src/service/request_key.h"
 #include "src/util/status.h"
@@ -60,15 +55,6 @@ struct ServiceOptions {
   /// Worker threads for the estimators (0 or negative = all hardware
   /// threads). Results are bit-identical for any value.
   int num_threads = 1;
-  /// Optional external pool (not owned; the service is its only submitter
-  /// while running). When null the service owns a pool of num_threads.
-  util::ThreadPool* pool = nullptr;
-  /// Per-body estimate cache sizing (see EstimateCache::Options).
-  size_t body_cache_capacity = 4096;
-  /// Request-result memo sizing.
-  size_t result_cache_capacity = 4096;
-  /// Shards for both caches (rounded up to a power of two).
-  int cache_shards = 8;
   /// Identity of this service inside a sharded fabric (sharded_service.h):
   /// >= 0 makes every error this service produces carry the shard id, both
   /// in the message and in the structured util::StatusContext payload, so
@@ -131,30 +117,21 @@ struct BatchStats {
 
 class MeasureService {
  public:
-  /// A future-style handle for one submitted request.
-  using Ticket = std::future<util::StatusOr<measure::MeasureResult>>;
-
   explicit MeasureService(const ServiceOptions& options = {});
-  /// Drains outstanding requests, then joins the dispatcher.
-  ~MeasureService();
 
   MeasureService(const MeasureService&) = delete;
   MeasureService& operator=(const MeasureService&) = delete;
 
-  /// Enqueues one request; returns immediately. Thread-safe.
-  Ticket Submit(MeasureRequest request);
+  /// Executes one request on the calling thread and returns its result.
+  /// Thread-safe: concurrent callers are served one at a time, since the
+  /// pool takes one submitter at a time.
+  util::StatusOr<measure::MeasureResult> Run(const MeasureRequest& request);
 
-  /// Blocks until `ticket`'s request completes and returns its result.
-  static util::StatusOr<measure::MeasureResult> Wait(Ticket& ticket) {
-    return ticket.get();
-  }
-
-  /// Submits every request, waits for all of them, and reports per-batch
-  /// accounting. Results are positionally aligned with `requests` and
-  /// bit-identical to sequential ComputeNu/ComputeMeasure calls with the
-  /// same per-request options. The stats delta is attributed to this batch;
-  /// attribute precisely by not interleaving concurrent Submits with a
-  /// RunBatch call.
+  /// Runs every request in order and reports per-batch accounting. Results
+  /// are positionally aligned with `requests` and bit-identical to
+  /// sequential ComputeNu/ComputeMeasure calls with the same per-request
+  /// options. The stats delta is attributed to this batch; attribute
+  /// precisely by not interleaving concurrent Runs with a RunBatch call.
   struct BatchOutcome {
     std::vector<util::StatusOr<measure::MeasureResult>> results;
     BatchStats stats;
@@ -168,8 +145,13 @@ class MeasureService {
   /// Adaptive-precision top-k ranking over this service's caches: walks an
   /// ε-ladder, pruning candidates whose confidence interval falls below
   /// the k-th best, so most candidates never pay for the final precision.
-  /// One batch per tier (defined in ranking_service.cc; see RankingService
-  /// for the ladder, δ-split, and determinism contract).
+  /// One batch per tier, run as a one-shot RankingSession (see
+  /// ranking_service.h for the ladder, δ-split, and determinism contract;
+  /// callers that re-rank as the database mutates should hold a session
+  /// instead). Fails with InvalidArgument on malformed options (k < 1,
+  /// non-decreasing ladder, ε/δ outside their ranges — every candidate's
+  /// MeasureOptions is validated up front) and propagates the first
+  /// failing candidate's status (lowest input index) if a request errors.
   util::StatusOr<RankingOutcome> RunTopK(
       std::vector<MeasureRequest> candidates, const RankingOptions& options);
 
@@ -182,37 +164,25 @@ class MeasureService {
   BatchStats lifetime_stats() const;
 
  private:
-  struct Job {
-    MeasureRequest request;
-    std::promise<util::StatusOr<measure::MeasureResult>> promise;
-    /// Submitter's span context, adopted by the dispatcher so the request's
-    /// spans parent under the submitting batch/tier span.
-    obs::SpanContext ctx;
-  };
   /// A memoized result plus what it cost originally (replays are free).
   struct MemoEntry {
     measure::MeasureResult result;
   };
 
-  void DispatcherLoop();
-  util::StatusOr<measure::MeasureResult> Process(MeasureRequest& request);
+  util::StatusOr<measure::MeasureResult> Process(
+      const MeasureRequest& request);
   /// Stamps the shard id onto pre-signature errors (validation, grounding)
   /// when this service runs inside a sharded fabric; pass-through when
   /// unsharded, keeping those messages byte-identical to the direct path.
   util::Status Attribute(util::Status status) const;
 
   ServiceOptions options_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* pool_;  // owned_pool_.get() or options_.pool
+  std::mutex run_mu_;  // held by Run: one pool submitter at a time
+  util::ThreadPool pool_;
   EstimateCache body_cache_;
   ShardedLruCache<MemoEntry> result_cache_;
 
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<Job> queue_;  // guarded by mu_
-  bool stop_ = false;      // guarded by mu_
-
-  // Lifetime counters, written only by the dispatcher thread.
+  // Lifetime counters, written under run_mu_, read lock-free.
   std::atomic<int64_t> total_requests_{0};
   std::atomic<int64_t> total_request_cache_hits_{0};
   std::atomic<int64_t> total_body_cache_hits_{0};
@@ -220,10 +190,6 @@ class MeasureService {
   std::atomic<int64_t> total_unique_bodies_{0};
   std::atomic<int64_t> total_sampling_steps_{0};
   std::atomic<int64_t> total_samples_{0};
-
-  // mudb-lint: allow(no-raw-thread) -- documented dispatcher storage;
-  // the control thread never touches sampling grids or substreams.
-  std::thread dispatcher_;  // last member: started after everything above
 };
 
 }  // namespace mudb::service

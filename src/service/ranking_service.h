@@ -1,4 +1,5 @@
-// RankingService: adaptive-precision top-k certainty ranking.
+// Adaptive-precision top-k certainty ranking: the options, outcome, and
+// δ split of MeasureService::RunTopK and RankingSession.
 //
 // The paper's measure of certainty exists to *compare* candidate answers —
 // "which tuples are most certain?" — yet evaluating all N candidates at the
@@ -99,8 +100,8 @@ struct RankingOptions {
   bool route_engines = false;
 };
 
-/// Validates k, δ, the ladder, and the adaptive knobs. Exposed because both
-/// the one-shot scheduler and RankingSession enforce it.
+/// Validates k, δ, the ladder, and the adaptive knobs (RankingSession
+/// enforces it on every Rerank, and so on every RunTopK).
 util::Status ValidateRankingOptions(const RankingOptions& options);
 
 /// The per-estimate δ every tier request runs at: per_estimate_delta when
@@ -137,29 +138,6 @@ struct RankingOutcome {
   /// Flight-recorder handle: trace id of this ranking's span tree when
   /// tracing was enabled (obs::CollectTrace fetches it), 0 otherwise.
   uint64_t trace_id = 0;
-};
-
-/// The ε-ladder scheduler on top of a MeasureService. Stateless besides the
-/// borrowed service (not owned); one RankTopK call at a time per service,
-/// as with RunBatch. Implemented as a one-shot RankingSession
-/// (ranking_session.h): callers that re-rank as the database mutates or
-/// candidates stream in should hold a session instead — Rerank(delta)
-/// reuses every estimate whose content signature survived the delta.
-class RankingService {
- public:
-  explicit RankingService(MeasureService* service) : service_(service) {}
-
-  /// Ranks the candidates and returns the top-k most certain. Fails with
-  /// InvalidArgument on malformed options (k < 1, non-decreasing ladder,
-  /// ε/δ outside their ranges — every candidate's MeasureOptions is
-  /// validated up front) and propagates the first failing candidate's
-  /// status (lowest input index) if a request errors.
-  util::StatusOr<RankingOutcome> RankTopK(
-      std::vector<MeasureRequest> candidates,
-      const RankingOptions& options = {});
-
- private:
-  MeasureService* service_;
 };
 
 }  // namespace mudb::service

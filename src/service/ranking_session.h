@@ -1,7 +1,7 @@
 // RankingSession: incremental / streaming re-ranking with content-keyed
 // delta invalidation.
 //
-// The one-shot scheduler (ranking_service.h) recomputes every ranking from
+// The one-shot MeasureService::RunTopK recomputes every ranking from
 // scratch, but the interactive workload mutates: the database refines nulls,
 // candidates stream in and drop out, and after each change almost every
 // tuple's certainty interval is exactly what it was. A RankingSession keeps
@@ -35,7 +35,7 @@
 // final (id → candidate content) map and the options — independent of
 // thread count, submission order, and the delta sequence that produced the
 // state. Corollary: they are bit-identical to a cold ranking of the same
-// final candidate set (a fresh session, or RankTopK when ids are dense) —
+// final candidate set (a fresh session, or RunTopK when ids are dense) —
 // bench_rerank hard-asserts this across thread counts before reporting.
 // Only the schedule accounting (tier_stats, warm_hits,
 // total_sampling_steps) depends on history: it reports what THIS call paid.
@@ -46,7 +46,7 @@
 // insert/remove should set RankingOptions::per_estimate_delta so δ (and
 // hence every signature) is independent of N.
 //
-// Not thread-safe: one Rerank at a time, like RunBatch/RankTopK.
+// Not thread-safe: one Rerank at a time, like RunBatch/RunTopK.
 
 #ifndef MUDB_SRC_SERVICE_RANKING_SESSION_H_
 #define MUDB_SRC_SERVICE_RANKING_SESSION_H_

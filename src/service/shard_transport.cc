@@ -11,11 +11,7 @@ namespace mudb::service {
 util::StatusOr<measure::MeasureResult> InProcessShardTransport::Call(
     int shard, const MeasureRequest& request) {
   MUDB_CHECK(shard >= 0 && shard < num_shards());
-  // Copy: the router retries from the original request, and the worker's
-  // Submit takes ownership.
-  MeasureService::Ticket ticket =
-      shards_[static_cast<size_t>(shard)]->Submit(request);
-  return MeasureService::Wait(ticket);
+  return shards_[static_cast<size_t>(shard)]->Run(request);
 }
 
 util::StatusOr<measure::MeasureResult> FaultInjectingTransport::Call(

@@ -1,13 +1,13 @@
 // The shard transport seam of the sharded serving fabric.
 //
 // ShardedMeasureService (sharded_service.h) never talks to its shard
-// workers directly: every delivery goes through a ShardTransport, so the
+// services directly: every delivery goes through a ShardTransport, so the
 // *protocol* — routing, retry on transient failure, deadlines, degradation
 // — is written against an interface that an eventual network transport can
 // implement, while today's implementations stay in-process:
 //
 //   * InProcessShardTransport delivers to a fixed set of MeasureService
-//     workers (one Submit + Wait per call, synchronous to the caller);
+//     shards (one MeasureService::Run per call, on the caller's thread);
 //   * FaultInjectingTransport decorates any transport with a deterministic
 //     FaultInjector: a call may be delayed (latency spike) and/or rejected
 //     with a transient, retryable kUnavailable *before* it reaches the
@@ -36,15 +36,16 @@ class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
 
-  /// Delivers `request` to `shard` and returns its result. Synchronous:
-  /// callers that want overlap issue calls from their own workers.
+  /// Delivers `request` to `shard` and returns its result. Synchronous and
+  /// thread-safe: callers that want overlap issue calls from several
+  /// threads (ShardedMeasureService::RunBatch uses its router pool).
   virtual util::StatusOr<measure::MeasureResult> Call(
       int shard, const MeasureRequest& request) = 0;
 
   virtual int num_shards() const = 0;
 };
 
-/// Delivery to in-process MeasureService workers (borrowed, not owned).
+/// Delivery to in-process MeasureService shards (borrowed, not owned).
 class InProcessShardTransport : public ShardTransport {
  public:
   explicit InProcessShardTransport(std::vector<MeasureService*> shards)

@@ -34,7 +34,9 @@ std::string ShardKeyPrefix(const convex::CanonicalBodyKey& key) {
 
 ShardedMeasureService::ShardedMeasureService(
     const ShardedServiceOptions& options, ShardTransport* transport)
-    : options_(options) {
+    : options_(options),
+      router_pool_(
+          ResolveRouterThreads(options.router_threads, options.num_shards)) {
   MUDB_CHECK(options_.num_shards >= 1);
   MUDB_CHECK(options_.retry.max_attempts >= 1);
   shards_.reserve(static_cast<size_t>(options_.num_shards));
@@ -63,64 +65,6 @@ ShardedMeasureService::ShardedMeasureService(
       transport_ = faulty_.get();
     }
   }
-
-  const int workers =
-      ResolveRouterThreads(options_.router_threads, options_.num_shards);
-  routers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    routers_.emplace_back([this] { RouterLoop(); });
-  }
-}
-
-ShardedMeasureService::~ShardedMeasureService() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : routers_) t.join();
-}
-
-ShardedMeasureService::Ticket ShardedMeasureService::Submit(
-    MeasureRequest request) {
-  util::Deadline deadline = options_.default_deadline_ms > 0
-                                ? util::Deadline::After(
-                                      options_.default_deadline_ms)
-                                : util::Deadline::Infinite();
-  return Submit(std::move(request), deadline);
-}
-
-ShardedMeasureService::Ticket ShardedMeasureService::Submit(
-    MeasureRequest request, util::Deadline deadline) {
-  Job job;
-  job.request = std::move(request);
-  job.deadline = deadline;
-  job.ctx = obs::CurrentContext();
-  Ticket ticket = job.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-  return ticket;
-}
-
-void ShardedMeasureService::RouterLoop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Drain before exiting: every submitted promise is fulfilled.
-      if (queue_.empty()) return;
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    // Parent this request's spans under the submitting span, across the
-    // router-worker hop.
-    obs::ScopedContext adopt(job.ctx);
-    job.promise.set_value(Execute(job));
-  }
 }
 
 int ShardedMeasureService::ShardFor(
@@ -130,7 +74,8 @@ int ShardedMeasureService::ShardFor(
                           static_cast<uint64_t>(shards_.size()));
 }
 
-util::StatusOr<ShardedResponse> ShardedMeasureService::Execute(Job& job) {
+util::StatusOr<ShardedResponse> ShardedMeasureService::Call(
+    MeasureRequest request, util::Deadline deadline) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   static obs::Counter* const m_requests = reg.counter("shard.requests");
   static obs::Counter* const m_attempts = reg.counter("shard.attempts");
@@ -151,7 +96,6 @@ util::StatusOr<ShardedResponse> ShardedMeasureService::Execute(Job& job) {
   };
   total_requests_.fetch_add(1, std::memory_order_relaxed);
   m_requests->Inc();
-  MeasureRequest& request = job.request;
 
   // Permanent-error gate, identical to the unsharded path: a malformed
   // request fails here once, with no retry (retrying identical content
@@ -206,7 +150,7 @@ util::StatusOr<ShardedResponse> ShardedMeasureService::Execute(Job& job) {
   util::Rng jitter = util::BackoffRng(request.options.seed);
   util::Status last_error;
   for (int attempt = 1; attempt <= options_.retry.max_attempts; ++attempt) {
-    if (job.deadline.expired()) {
+    if (deadline.expired()) {
       total_deadline_expired_.fetch_add(1, std::memory_order_relaxed);
       total_failures_.fetch_add(1, std::memory_order_relaxed);
       m_deadline->Inc();
@@ -228,7 +172,7 @@ util::StatusOr<ShardedResponse> ShardedMeasureService::Execute(Job& job) {
       if (attempt_span.recording()) {
         attempt_span.Annotate("attempt", static_cast<double>(attempt));
         // No annotation without a deadline: remaining_ms() is +inf then.
-        const double remaining = job.deadline.remaining_ms();
+        const double remaining = deadline.remaining_ms();
         if (std::isfinite(remaining)) {
           attempt_span.Annotate("deadline_remaining_ms", remaining);
         }
@@ -260,9 +204,9 @@ util::StatusOr<ShardedResponse> ShardedMeasureService::Execute(Job& job) {
     last_error = result.status();
     if (attempt < options_.retry.max_attempts) {
       double delay_ms = options_.retry.backoff.DelayMs(attempt - 1, jitter);
-      if (!job.deadline.infinite()) {
+      if (!deadline.infinite()) {
         delay_ms = std::min(delay_ms,
-                            std::max(0.0, job.deadline.remaining_ms()));
+                            std::max(0.0, deadline.remaining_ms()));
       }
       if (delay_ms > 0) {
         obs::Span backoff_span("shard.backoff");
@@ -277,7 +221,7 @@ util::StatusOr<ShardedResponse> ShardedMeasureService::Execute(Job& job) {
   }
   util::StatusOr<ShardedResponse> degraded =
       Degrade(request, signature, shard, options_.retry.max_attempts,
-              std::move(last_error), job.deadline);
+              std::move(last_error), deadline);
   if (degraded.ok()) {
     degraded.value().trace_id = span.context().trace_id;
   }
@@ -349,17 +293,18 @@ ShardedMeasureService::BatchOutcome ShardedMeasureService::RunBatch(
     span.Annotate("requests", static_cast<double>(requests.size()));
   }
   util::WallTimer timer;
+  std::lock_guard<std::mutex> lock(batch_mu_);
   ShardedStats before = stats();
-  std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  for (MeasureRequest& request : requests) {
-    tickets.push_back(Submit(std::move(request)));
-  }
+  std::vector<std::optional<util::StatusOr<ShardedResponse>>> slots(
+      requests.size());
+  router_pool_.ParallelFor(
+      static_cast<int64_t>(requests.size()), [&](int64_t i) {
+        const size_t slot = static_cast<size_t>(i);
+        slots[slot] = Call(std::move(requests[slot]));
+      });
   BatchOutcome outcome;
-  outcome.results.reserve(tickets.size());
-  for (Ticket& ticket : tickets) {
-    outcome.results.push_back(ticket.get());
-  }
+  outcome.results.reserve(slots.size());
+  for (auto& slot : slots) outcome.results.push_back(std::move(*slot));
   ShardedStats after = stats();
   outcome.stats.requests = after.requests - before.requests;
   outcome.stats.attempts = after.attempts - before.attempts;

@@ -3,7 +3,7 @@
 // One MeasureService is single-node. The caches underneath it are already
 // content-addressed (128-bit canonical/raw keys) — the hard part of
 // sharding — so this layer adds the *protocol*: a router that partitions
-// requests across N shard workers by canonical request signature, a shard
+// requests across N shard services by canonical request signature, a shard
 // transport seam with deterministic fault injection (shard_transport.h,
 // fault_injector.h), a retry policy (capped exponential backoff with
 // deterministic jitter from the request's RNG substream, util/backoff.h),
@@ -11,6 +11,13 @@
 // shard keeps failing. Everything runs in-process on purpose: the protocol
 // is proven correct and bit-deterministic here before any real networking
 // exists, and a network transport later slots into the same seam.
+//
+// Threading: Call routes one request on the caller's thread. RunBatch runs
+// Call over the batch on a util::ThreadPool of router_threads (the calling
+// thread included), so up to that many requests are in flight across the
+// shards; each shard serves its requests one at a time on its own pool.
+// Pool jobs adopt the submitter's span context, so every request's spans
+// parent under the batch span.
 //
 // Routing: shard = signature mod N, where the signature is the canonical
 // content key of (grounded formula, options) from request_key.h. Routing by
@@ -28,7 +35,7 @@
 //     exponential backoff; the jitter stream is a pure function of the
 //     request seed, so a request's delay schedule is reproducible;
 //   * the per-request deadline is checked between attempts; expiry returns
-//     kDeadlineExceeded (never a hang — Wait always completes);
+//     kDeadlineExceeded (never a hang — Call always returns);
 //   * when retries are exhausted and the deadline still has budget, the
 //     router degrades instead of failing: re-execute locally
 //     (kLocalRecompute) or serve a coarser-ε interval (kCoarsenEpsilon,
@@ -53,25 +60,21 @@
 #define MUDB_SRC_SERVICE_SHARDED_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "src/convex/canonical.h"
 #include "src/measure/measure.h"
-#include "src/obs/trace.h"
 #include "src/service/fault_injector.h"
 #include "src/service/measure_service.h"
 #include "src/service/shard_transport.h"
 #include "src/util/backoff.h"
 #include "src/util/deadline.h"
 #include "src/util/status.h"
+#include "src/util/thread_pool.h"
 
 namespace mudb::service {
 
@@ -99,20 +102,17 @@ enum class DegradeMode {
 };
 
 struct ShardedServiceOptions {
-  /// Shard worker count (>= 1).
+  /// Shard count (>= 1).
   int num_shards = 4;
-  /// Options for every shard worker (thread count, cache sizing). The
-  /// router overrides shard_id per worker; results are bit-identical for
-  /// any num_threads by the underlying contract.
+  /// Options for every shard service (its thread count). The router
+  /// overrides shard_id per shard; results are bit-identical for any
+  /// num_threads by the underlying contract.
   ServiceOptions shard_options;
-  /// Router worker threads driving shard calls (0 = 2 · num_shards,
+  /// Threads RunBatch routes on, its caller included (0 = 2 · num_shards,
   /// clamped to [1, 16]). Bounds in-flight requests; never affects result
   /// bits.
   int router_threads = 0;
   RetryPolicy retry;
-  /// Default per-request deadline in ms (0 = none). Submit overloads can
-  /// set a per-request deadline explicitly.
-  double default_deadline_ms = 0.0;
   DegradeMode degrade = DegradeMode::kLocalRecompute;
   /// ε multiplier for DegradeMode::kCoarsenEpsilon (> 1; the result is
   /// clamped to ε <= 1).
@@ -165,34 +165,27 @@ struct ShardedStats {
 
 class ShardedMeasureService {
  public:
-  using Ticket = std::future<util::StatusOr<ShardedResponse>>;
-
-  /// Builds num_shards in-process MeasureService workers and the transport
+  /// Builds num_shards in-process MeasureService shards and the transport
   /// stack (fault-injecting when options.faults is set). `transport`, when
   /// given, replaces the built-in stack (testing seam; borrowed, must
   /// outlive the service, and its num_shards() must match).
   explicit ShardedMeasureService(const ShardedServiceOptions& options = {},
                                  ShardTransport* transport = nullptr);
-  /// Drains outstanding requests, then joins the router workers.
-  ~ShardedMeasureService();
 
   ShardedMeasureService(const ShardedMeasureService&) = delete;
   ShardedMeasureService& operator=(const ShardedMeasureService&) = delete;
 
-  /// Enqueues one request under the default deadline; returns immediately.
-  /// Thread-safe.
-  Ticket Submit(MeasureRequest request);
-  /// Same, with an explicit per-request deadline.
-  Ticket Submit(MeasureRequest request, util::Deadline deadline);
+  /// Routes one request on the calling thread: grounds it, delivers it to
+  /// its shard with retries, and degrades when retries run out. Never
+  /// hangs on expiry: a request whose deadline passes returns
+  /// kDeadlineExceeded. Thread-safe.
+  util::StatusOr<ShardedResponse> Call(
+      MeasureRequest request,
+      util::Deadline deadline = util::Deadline::Infinite());
 
-  /// Blocks until `ticket`'s request completes. Never hangs on expiry: a
-  /// request whose deadline passes resolves to kDeadlineExceeded.
-  static util::StatusOr<ShardedResponse> Wait(Ticket& ticket) {
-    return ticket.get();
-  }
-
-  /// Submits every request, waits for all, reports the stats delta.
-  /// Results are positionally aligned with `requests`.
+  /// Calls every request (no deadline) on the router pool and reports the
+  /// stats delta. Results are positionally aligned with `requests`.
+  /// Thread-safe; concurrent batches run one at a time.
   struct BatchOutcome {
     std::vector<util::StatusOr<ShardedResponse>> results;
     ShardedStats stats;
@@ -204,8 +197,7 @@ class ShardedMeasureService {
   int ShardFor(const convex::CanonicalBodyKey& signature) const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  /// The shard workers (cache introspection in tests; do not submit to
-  /// them directly while the router is running).
+  /// The shard services (cache introspection in tests).
   MeasureService& shard(int i) { return *shards_[static_cast<size_t>(i)]; }
   /// The owned injector when options.faults was set (nullptr otherwise);
   /// tests use it for targeted FailNext / SetDown control.
@@ -214,16 +206,6 @@ class ShardedMeasureService {
   ShardedStats stats() const;
 
  private:
-  struct Job {
-    MeasureRequest request;
-    util::Deadline deadline;
-    std::promise<util::StatusOr<ShardedResponse>> promise;
-    /// Submitter's span context, adopted by the router worker.
-    obs::SpanContext ctx;
-  };
-
-  void RouterLoop();
-  util::StatusOr<ShardedResponse> Execute(Job& job);
   util::StatusOr<ShardedResponse> Degrade(
       const MeasureRequest& request,
       const convex::CanonicalBodyKey& signature, int shard, int attempts,
@@ -236,10 +218,8 @@ class ShardedMeasureService {
   std::unique_ptr<FaultInjectingTransport> faulty_;
   ShardTransport* transport_;  // the top of the stack (or the external one)
 
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::deque<Job> queue_;  // guarded by mu_
-  bool stop_ = false;      // guarded by mu_
+  std::mutex batch_mu_;  // held by RunBatch: one router_pool_ submitter
+  util::ThreadPool router_pool_;
 
   std::atomic<int64_t> total_requests_{0};
   std::atomic<int64_t> total_attempts_{0};
@@ -249,11 +229,6 @@ class ShardedMeasureService {
   std::atomic<int64_t> total_failures_{0};
   std::atomic<int64_t> total_deadline_expired_{0};
   std::unique_ptr<std::atomic<int64_t>[]> per_shard_requests_;
-
-  // mudb-lint: allow(no-raw-thread) -- documented router storage; router
-  // workers only route/retry requests, results stay bit-identical for any
-  // router_threads (sharded_service_test chaos matrix).
-  std::vector<std::thread> routers_;  // last: started after everything above
 };
 
 }  // namespace mudb::service

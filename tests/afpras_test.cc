@@ -8,6 +8,7 @@
 #include "src/measure/afpras.h"
 #include "src/measure/nu_exact.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace mudb::measure {
 namespace {
@@ -158,7 +159,8 @@ TEST(AfprasTest, ParallelSamplingIsDeterministicAndAccurate) {
   RealFormula f = RealFormula::And(parts);  // quadrant: ν = 1/4
   AfprasOptions opts;
   opts.num_samples = 200000;
-  opts.num_threads = 4;
+  util::ThreadPool pool4(4);
+  opts.pool = &pool4;
   util::Rng rng1(77), rng2(77);
   auto a = Afpras(f, opts, rng1);
   auto b = Afpras(f, opts, rng2);
@@ -168,7 +170,8 @@ TEST(AfprasTest, ParallelSamplingIsDeterministicAndAccurate) {
   EXPECT_NEAR(a->estimate, 0.25, 0.01);
   // Substreams are carved by the sample budget, not the thread count, so a
   // different thread count gives the bit-identical estimate.
-  opts.num_threads = 3;
+  util::ThreadPool pool3(3);
+  opts.pool = &pool3;
   util::Rng rng3(77);
   auto c = Afpras(f, opts, rng3);
   ASSERT_TRUE(c.ok());

@@ -1,8 +1,9 @@
 // Guards the parallel sampling runtime's determinism contract: every
-// randomized estimator returns bit-identical results for any num_threads
-// given the same seed (work is carved into RNG substreams by the workload,
-// never by the thread count), and distinct seeds produce distinct sample
-// paths (the substreams really are a function of the seed).
+// randomized estimator returns bit-identical results for any pool size (and
+// ComputeNu for any num_threads) given the same seed (work is carved into
+// RNG substreams by the workload, never by the thread count), and distinct
+// seeds produce distinct sample paths (the substreams really are a function
+// of the seed).
 
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "src/measure/fpras.h"
 #include "src/measure/measure.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace mudb::measure {
 namespace {
@@ -47,7 +49,8 @@ TEST(DeterminismTest, FprasIsThreadCountInvariant) {
   for (int threads : kThreadAxis) {
     FprasOptions opts;
     opts.epsilon = 0.2;  // keep the battery fast; determinism is exact anyway
-    opts.num_threads = threads;
+    util::ThreadPool pool(threads);
+    opts.pool = &pool;
     util::Rng rng(1234);
     auto r = FprasConjunctive(f, opts, rng);
     ASSERT_TRUE(r.ok());
@@ -66,7 +69,8 @@ TEST(DeterminismTest, AfprasIsThreadCountInvariant) {
   for (int threads : kThreadAxis) {
     AfprasOptions opts;
     opts.num_samples = 50000;  // > 1 chunk, uneven tail chunk
-    opts.num_threads = threads;
+    util::ThreadPool pool(threads);
+    opts.pool = &pool;
     util::Rng rng(99);
     auto r = Afpras(f, opts, rng);
     ASSERT_TRUE(r.ok());
@@ -87,7 +91,8 @@ TEST(DeterminismTest, ConditionalAfprasIsThreadCountInvariant) {
   for (int threads : kThreadAxis) {
     AfprasOptions opts;
     opts.num_samples = 30000;
-    opts.num_threads = threads;
+    util::ThreadPool pool(threads);
+    opts.pool = &pool;
     util::Rng rng(7);
     auto r = ConditionalAfpras(f, ranges, opts, rng);
     ASSERT_TRUE(r.ok());
@@ -125,9 +130,10 @@ TEST(DeterminismTest, DistinctSeedsProduceDistinctSamplePaths) {
   RealFormula f = ConeUnion();
   std::vector<double> fpras_estimates, afpras_estimates;
   for (uint64_t seed : {1u, 2u, 3u}) {
+    util::ThreadPool pool(2);
     FprasOptions fopts;
     fopts.epsilon = 0.2;
-    fopts.num_threads = 2;
+    fopts.pool = &pool;
     util::Rng frng(seed);
     auto fr = FprasConjunctive(f, fopts, frng);
     ASSERT_TRUE(fr.ok());
@@ -135,7 +141,7 @@ TEST(DeterminismTest, DistinctSeedsProduceDistinctSamplePaths) {
 
     AfprasOptions aopts;
     aopts.num_samples = 50000;
-    aopts.num_threads = 2;
+    aopts.pool = &pool;
     util::Rng arng(seed);
     auto ar = Afpras(f, aopts, arng);
     ASSERT_TRUE(ar.ok());
@@ -176,7 +182,8 @@ TEST(DeterminismTest, SameSeedSameResultAcrossRepeats) {
   RealFormula f = ConeUnion();
   FprasOptions opts;
   opts.epsilon = 0.2;
-  opts.num_threads = 4;
+  util::ThreadPool pool(4);
+  opts.pool = &pool;
   util::Rng rng1(5), rng2(5);
   auto a = FprasConjunctive(f, opts, rng1);
   auto b = FprasConjunctive(f, opts, rng2);

@@ -246,9 +246,8 @@ TEST(FaultRetryTest, TransientFaultsAreRetriedToABitIdenticalResult) {
   ASSERT_NE(service.fault_injector(), nullptr);
   service.fault_injector()->FailNext(0, 2);  // two failures, third try lands
 
-  auto ticket = service.Submit(MeasureRequest::Nu(Orthant3D(), CheapOpts(21)));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(MeasureRequest::Nu(Orthant3D(), CheapOpts(21)));
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->attempts, 3);
   EXPECT_EQ(response->shard, 0);
@@ -275,9 +274,8 @@ TEST(FaultRetryTest, DownShardDegradesToLocalBitIdenticalRecompute) {
   ShardedMeasureService service(opts);
   service.fault_injector()->SetDown(0, true);
 
-  auto ticket = service.Submit(MeasureRequest::Nu(Orthant3D(), CheapOpts(22)));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(MeasureRequest::Nu(Orthant3D(), CheapOpts(22)));
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_TRUE(response->degraded);
   EXPECT_EQ(response->shard, -1);
@@ -303,9 +301,8 @@ TEST(FaultRetryTest, CoarsenEpsilonDegradationStampsTheServedEpsilon) {
 
   ShardedMeasureService service(opts);
   service.fault_injector()->SetDown(0, true);
-  auto ticket = service.Submit(MeasureRequest::Nu(Orthant3D(), request_opts));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(MeasureRequest::Nu(Orthant3D(), request_opts));
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_TRUE(response->degraded);
   EXPECT_EQ(response->degraded_epsilon, coarse.epsilon);
@@ -321,9 +318,8 @@ TEST(FaultRetryTest, NoDegradationSurfacesTheRetryableErrorWithContext) {
   ShardedMeasureService service(opts);
   service.fault_injector()->SetDown(0, true);
 
-  auto ticket = service.Submit(MeasureRequest::Nu(Orthant3D(), CheapOpts(24)));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(MeasureRequest::Nu(Orthant3D(), CheapOpts(24)));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), util::StatusCode::kUnavailable);
   EXPECT_TRUE(response.status().IsRetryable());

@@ -309,7 +309,7 @@ TEST(SpanTest, ParentCrossesTheShardTransportSeam) {
   for (const SpanRecord& s : spans) {
     if (s.name == "shard.request") {
       ++requests;
-      // The router worker adopted the submitter's context.
+      // The router pool adopted the submitter's context.
       EXPECT_EQ(s.parent_id, batch->span_id);
       EXPECT_EQ(s.trace_id, batch->trace_id);
     } else if (s.name == "shard.attempt" || s.name == "shard.backoff") {

@@ -1,8 +1,8 @@
 // Tests for the adaptive-precision top-k ranking scheduler
-// (src/service/ranking_service.h): bit-identical outcomes across thread
-// counts and shuffled candidate orders, top-k agreement with fixed-precision
-// full-batch ranking, exact-engine freezing, pruning accounting, and option
-// validation.
+// (MeasureService::RunTopK, src/service/ranking_service.h): bit-identical
+// outcomes across thread counts and shuffled candidate orders, top-k
+// agreement with fixed-precision full-batch ranking, exact-engine freezing,
+// pruning accounting, and option validation.
 
 #include <algorithm>
 #include <cmath>
@@ -260,18 +260,6 @@ TEST(RankingTest, ExactCandidatesFreezeAtTierZero) {
                 WedgeAngle(static_cast<int>(cand.index)) / (2 * M_PI),
                 1e-9);
   }
-}
-
-TEST(RankingTest, RunTopKMatchesRankingServiceComposition) {
-  MeasureService via_member;
-  auto member = via_member.RunTopK(WedgeBattery(0.25), WedgeRanking());
-  ASSERT_TRUE(member.ok()) << member.status();
-
-  MeasureService via_class;
-  RankingService ranking(&via_class);
-  auto composed = ranking.RankTopK(WedgeBattery(0.25), WedgeRanking());
-  ASSERT_TRUE(composed.ok()) << composed.status();
-  ExpectSameOutcome(*member, *composed);
 }
 
 TEST(RankingTest, ValidationRejectsBadOptions) {

@@ -1,8 +1,14 @@
 // Tests for the measurement serving layer (src/service/): batch results
 // bit-identical to sequential ComputeMeasure/ComputeNu for any thread count
 // and submission order, request-level memoization (a repeated batch samples
-// nothing), cross-request body sharing through the estimate cache, and the
-// async Submit/Wait surface.
+// nothing), cross-request body sharing through the estimate cache, and
+// concurrent callers of one service.
+
+#include <algorithm>
+#include <random>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <algorithm>
 #include <random>
@@ -134,13 +140,8 @@ TEST(ServiceTest, BatchBitIdenticalUnderShuffledSubmissionOrder) {
     std::shuffle(order.begin(), order.end(), gen);
 
     MeasureService service;
-    std::vector<MeasureService::Ticket> tickets(reqs.size());
-    std::vector<MeasureRequest> copy = MixedBattery();
-    for (size_t pos : order) {
-      tickets[pos] = service.Submit(std::move(copy[pos]));
-    }
-    for (size_t i = 0; i < tickets.size(); ++i) {
-      auto r = MeasureService::Wait(tickets[i]);
+    for (size_t i : order) {
+      auto r = service.Run(reqs[i]);
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(r->value, baseline[i].value)
           << "request " << i << ", round " << round;
@@ -297,20 +298,40 @@ TEST(ServiceTest, RequestSignatureSeparatesOptionsAndFormulas) {
   EXPECT_NE(k, RequestSignature(Halfspace3D(1, 1, 1), base));
 }
 
-TEST(ServiceTest, AsyncSubmitWaitOutOfOrder) {
-  MeasureService service;
+TEST(ServiceTest, ConcurrentRunsMatchSequential) {
+  // Four client threads share one service: Run serves them one at a time,
+  // so every result is bit-identical to the sequential baseline whatever
+  // the interleaving (and whichever caller memoized a repeat first).
   std::vector<MeasureRequest> reqs = MixedBattery();
   std::vector<MeasureResult> baseline = SequentialBaseline(reqs);
-  std::vector<MeasureService::Ticket> tickets;
-  for (MeasureRequest& req : reqs) {
-    tickets.push_back(service.Submit(std::move(req)));
+  ServiceOptions sopts;
+  sopts.num_threads = 2;
+  MeasureService service(sopts);
+  constexpr int kClients = 4;
+  std::vector<std::vector<util::StatusOr<MeasureResult>>> results(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (const MeasureRequest& req : reqs) {
+        results[static_cast<size_t>(c)].push_back(service.Run(req));
+      }
+    });
   }
-  // Wait in reverse: completion order must not matter to the results.
-  for (size_t i = tickets.size(); i-- > 0;) {
-    auto r = MeasureService::Wait(tickets[i]);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->value, baseline[i].value) << "request " << i;
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    const auto& got = results[static_cast<size_t>(c)];
+    ASSERT_EQ(got.size(), baseline.size());
+    for (size_t i = 0; i < baseline.size(); ++i) {
+      ASSERT_TRUE(got[i].ok()) << got[i].status();
+      EXPECT_EQ(got[i]->value, baseline[i].value)
+          << "client " << c << ", request " << i;
+      EXPECT_EQ(got[i]->ci_lo, baseline[i].ci_lo);
+      EXPECT_EQ(got[i]->ci_hi, baseline[i].ci_hi);
+      EXPECT_EQ(got[i]->method_used, baseline[i].method_used);
+    }
   }
+  EXPECT_EQ(service.lifetime_stats().requests,
+            static_cast<int64_t>(kClients * baseline.size()));
 }
 
 TEST(ServiceTest, QueryPathMatchesComputeMeasure) {
@@ -338,8 +359,7 @@ TEST(ServiceTest, QueryPathMatchesComputeMeasure) {
   ASSERT_TRUE(direct.ok());
 
   MeasureService service;
-  auto ticket = service.Submit(MeasureRequest::Mu(&*q, &db, {}, opts));
-  auto served = MeasureService::Wait(ticket);
+  auto served = service.Run(MeasureRequest::Mu(&*q, &db, {}, opts));
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(served->value, direct->value);
   EXPECT_EQ(served->is_exact, direct->is_exact);
@@ -353,8 +373,7 @@ TEST(ServiceTest, QueryPathMatchesComputeMeasure) {
   EXPECT_FALSE(direct_capped.ok());
   EXPECT_EQ(direct_capped.status().code(),
             util::StatusCode::kResourceExhausted);
-  auto capped_ticket = service.Submit(MeasureRequest::Mu(&*q, &db, {}, capped));
-  auto capped_served = MeasureService::Wait(capped_ticket);
+  auto capped_served = service.Run(MeasureRequest::Mu(&*q, &db, {}, capped));
   EXPECT_FALSE(capped_served.ok());
   EXPECT_EQ(capped_served.status().code(),
             util::StatusCode::kResourceExhausted);
@@ -363,23 +382,21 @@ TEST(ServiceTest, QueryPathMatchesComputeMeasure) {
 TEST(ServiceTest, MalformedAndFailingRequestsSurfaceTheirStatus) {
   MeasureService service;
   // Neither form set.
-  auto empty_ticket = service.Submit(MeasureRequest{});
-  auto empty = MeasureService::Wait(empty_ticket);
+  auto empty = service.Run(MeasureRequest{});
   EXPECT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), util::StatusCode::kInvalidArgument);
 
   // Nonlinear formula forced onto the FPRAS: the engine error propagates.
-  auto bad_ticket = service.Submit(
+  auto bad = service.Run(
       MeasureRequest::Nu(Nonlinear3D(), Opts(Method::kFpras, 0.3, 1)));
-  auto bad = MeasureService::Wait(bad_ticket);
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
 
   // Errors are not memoized: a failing request followed by an identical one
   // fails identically (and nothing cached a half-result).
-  auto again_ticket = service.Submit(
+  auto again = service.Run(
       MeasureRequest::Nu(Nonlinear3D(), Opts(Method::kFpras, 0.3, 1)));
-  EXPECT_FALSE(MeasureService::Wait(again_ticket).ok());
+  EXPECT_FALSE(again.ok());
   EXPECT_EQ(service.result_cache_stats().entries, 0);
 }
 
@@ -397,26 +414,12 @@ TEST(ServiceTest, DegenerateOptionsFailIdenticallyOnBothPaths) {
     EXPECT_EQ(direct.status().code(), util::StatusCode::kInvalidArgument);
 
     MeasureService service;
-    auto ticket = service.Submit(MeasureRequest::Nu(f, bad));
-    auto served = MeasureService::Wait(ticket);
+    auto served = service.Run(MeasureRequest::Nu(f, bad));
     EXPECT_FALSE(served.ok());
     EXPECT_EQ(served.status().code(), util::StatusCode::kInvalidArgument);
     EXPECT_EQ(served.status().message(), direct.status().message());
     EXPECT_EQ(service.result_cache_stats().entries, 0);
     EXPECT_EQ(service.lifetime_stats().sampling_steps, 0);
-  }
-}
-
-TEST(ServiceTest, ExternalPoolIsHonored) {
-  util::ThreadPool pool(2);
-  ServiceOptions sopts;
-  sopts.pool = &pool;
-  MeasureService service(sopts);
-  auto outcome = service.RunBatch(MixedBattery());
-  std::vector<MeasureResult> baseline = SequentialBaseline(MixedBattery());
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    ASSERT_TRUE(outcome.results[i].ok());
-    EXPECT_EQ(outcome.results[i]->value, baseline[i].value);
   }
 }
 

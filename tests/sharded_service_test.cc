@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -252,16 +253,66 @@ TEST(ShardedServiceTest, ChaosFailuresClassifyAsRetryableTransients) {
   EXPECT_GT(failures_seen, 0);
 }
 
+// Two client threads share one faulty fabric: RunBatch admits one batch at
+// a time, so each batch's stats delta is exactly its own, and every OK
+// result is still bit-identical to the unsharded baseline.
+TEST(ShardedServiceTest, ConcurrentBatchesMatchUnsharded) {
+  std::vector<MeasureRequest> reqs = ChaosBattery();
+  std::vector<MeasureResult> baseline = UnshardedBaseline(reqs);
+
+  ShardedServiceOptions opts;
+  opts.num_shards = 2;
+  opts.router_threads = 2;
+  opts.retry.max_attempts = 3;
+  opts.retry.backoff.initial_ms = 0.01;
+  opts.retry.backoff.max_ms = 0.05;
+  FaultInjectorOptions faults;
+  faults.seed = 7;
+  faults.unavailable_rate = 0.2;
+  opts.faults = faults;
+  ShardedMeasureService service(opts);
+
+  constexpr int kClients = 2;
+  constexpr int kBatchesPerClient = 3;
+  std::vector<std::vector<ShardedMeasureService::BatchOutcome>> outcomes(
+      kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int b = 0; b < kBatchesPerClient; ++b) {
+        outcomes[static_cast<size_t>(c)].push_back(
+            service.RunBatch(ChaosBattery()));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  int64_t ok = 0;
+  for (int c = 0; c < kClients; ++c) {
+    for (const auto& outcome : outcomes[static_cast<size_t>(c)]) {
+      ASSERT_EQ(outcome.results.size(), baseline.size());
+      EXPECT_EQ(outcome.stats.requests,
+                static_cast<int64_t>(baseline.size()));
+      for (size_t i = 0; i < baseline.size(); ++i) {
+        if (!outcome.results[i].ok()) continue;
+        ++ok;
+        ExpectBitIdentical(outcome.results[i]->result, baseline[i],
+                           "client " + std::to_string(c) + " request " +
+                               std::to_string(i));
+      }
+    }
+  }
+  EXPECT_GT(ok, 0);
+}
+
 // ---- Deadlines -------------------------------------------------------------
 
 TEST(ShardedServiceTest, ExpiredDeadlineReturnsDeadlineExceededNotAHang) {
   ShardedMeasureService service(ShardedServiceOptions{});
-  auto ticket =
-      service.Submit(MeasureRequest::Nu(Orthant3D(), Opts(Method::kFpras,
-                                                          0.5, 41)),
-                     util::Deadline::After(0));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(MeasureRequest::Nu(Orthant3D(),
+                                      Opts(Method::kFpras, 0.5, 41)),
+                   util::Deadline::After(0));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), util::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(response.status().context().attempts, 0);
@@ -270,7 +321,7 @@ TEST(ShardedServiceTest, ExpiredDeadlineReturnsDeadlineExceededNotAHang) {
 
 TEST(ShardedServiceTest, DeadlineExpiryDuringRetriesCompletesWait) {
   // A permanently down shard with an effectively unbounded retry budget:
-  // only the deadline can end the request, and Wait must still return.
+  // only the deadline can end the request, and Call must still return.
   ShardedServiceOptions opts;
   opts.num_shards = 1;
   opts.retry.max_attempts = 1000000;
@@ -281,12 +332,10 @@ TEST(ShardedServiceTest, DeadlineExpiryDuringRetriesCompletesWait) {
   ShardedMeasureService service(opts);
   service.fault_injector()->SetDown(0, true);
 
-  auto ticket =
-      service.Submit(MeasureRequest::Nu(Orthant3D(), Opts(Method::kFpras,
-                                                          0.5, 42)),
-                     util::Deadline::After(25.0));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(MeasureRequest::Nu(Orthant3D(),
+                                      Opts(Method::kFpras, 0.5, 42)),
+                   util::Deadline::After(25.0));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), util::StatusCode::kDeadlineExceeded);
   EXPECT_GT(response.status().context().attempts, 0);
@@ -366,19 +415,17 @@ TEST(ShardedServiceTest, TerminalErrorsAreNeverMemoized) {
   service.fault_injector()->FailNext(0, opts.retry.max_attempts);
   MeasureRequest failing =
       MeasureRequest::Nu(Orthant3D(), Opts(Method::kFpras, 0.5, 43));
-  auto failed_ticket = service.Submit(std::move(failing));
   util::StatusOr<ShardedResponse> failed =
-      ShardedMeasureService::Wait(failed_ticket);
+      service.Call(std::move(failing));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), util::StatusCode::kUnavailable);
   EXPECT_EQ(service.shard(0).result_cache_stats().entries, 0);
 
   // The identical request after recovery: a fresh, successful compute with
   // the exact unsharded bits — no poisoned cache entry to collide with.
-  auto ticket = service.Submit(
-      MeasureRequest::Nu(Orthant3D(), Opts(Method::kFpras, 0.5, 43)));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(
+          MeasureRequest::Nu(Orthant3D(), Opts(Method::kFpras, 0.5, 43)));
   ASSERT_TRUE(response.ok()) << response.status();
   ExpectBitIdentical(response->result, *baseline, "post-recovery");
   EXPECT_EQ(service.shard(0).result_cache_stats().entries, 1);
@@ -398,9 +445,8 @@ TEST(ShardedServiceTest, DegenerateOptionsFailIdenticallyToTheDirectPath) {
   ShardedServiceOptions opts;
   opts.faults = FaultInjectorOptions{};
   ShardedMeasureService service(opts);
-  auto ticket = service.Submit(MeasureRequest::Nu(f, bad));
   util::StatusOr<ShardedResponse> served =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(MeasureRequest::Nu(f, bad));
   ASSERT_FALSE(served.ok());
   EXPECT_EQ(served.status().code(), direct.status().code());
   EXPECT_EQ(served.status().message(), direct.status().message());
@@ -411,9 +457,8 @@ TEST(ShardedServiceTest, DegenerateOptionsFailIdenticallyToTheDirectPath) {
 TEST(ShardedServiceTest, MalformedRequestIsAPermanentError) {
   ShardedMeasureService service{ShardedServiceOptions{}};
   MeasureRequest empty;  // neither formula nor (query, db)
-  auto ticket = service.Submit(std::move(empty));
   util::StatusOr<ShardedResponse> response =
-      ShardedMeasureService::Wait(ticket);
+      service.Call(std::move(empty));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_FALSE(response.status().IsRetryable());

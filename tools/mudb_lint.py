@@ -25,9 +25,9 @@ Rules (see BUILDING.md "Static analysis" for the policy):
   no-raw-thread       std::thread storage or construction, std::jthread,
                       std::async, pthread_create, hardware_concurrency()
                       in src/ outside util::ThreadPool. Ad-hoc threads
-                      bypass the pool's substream/grid discipline; the two
-                      documented service dispatcher/router sites carry
-                      inline allow-pragmas with reasons.
+                      bypass the pool's substream/grid discipline; every
+                      thread in src/ (the services included) is a pool
+                      worker, so no site needs an allow-pragma.
   no-threadcount-grid A thread-count value (num_threads, NumThreads(),
                       ResolveThreadCount(), hardware_concurrency()) linked
                       by arithmetic or assignment to a chunk/grid/lane-
@@ -535,8 +535,7 @@ RULE_DOCS = {
     "no-raw-clock": "raw std::chrono *_clock::now() outside src/obs/clock.cc",
     "no-ambient-entropy": "random_device/rand/srand/time(nullptr)/getenv in src/",
     "no-signgam-lgamma": "lgamma/signgam outside src/geom/geometry.cc",
-    "no-raw-thread": "std::thread et al. outside util::ThreadPool (+2 "
-                     "pragma'd service sites)",
+    "no-raw-thread": "std::thread et al. in src/ outside util::ThreadPool",
     "no-threadcount-grid": "thread count linked into chunk/grid arithmetic",
     "no-unordered-iteration-in-results": "range-for over unordered containers "
                                          "in result modules",
